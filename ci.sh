@@ -241,8 +241,8 @@ echo "== decode fabric gate: btwc_run fabric-quick -> BENCH_fabric.json =="
 # The multi-tenant fabric leg: the pinned fabric-quick scenario (a
 # 2-link priority fabric with a hot tenant quartile and per-request
 # deadlines) runs single-threaded under deep audits — conservation
-# across links, the per-request starvation bound, and the FIFO
-# lockstep cursor are all re-proved every cycle — and its metrics
+# across links, the per-request starvation bound, and the request
+# table's arrival order are all re-proved every cycle — and its metrics
 # subtree, including the per-link and per-tenant tables under
 # metrics.fabric, must match the committed artifact exactly.
 FRESH_FABRIC="build-release/BENCH_fabric.fresh.json"
@@ -311,6 +311,24 @@ else
     }
     echo "chaos soak OK (grep fallback)"
 fi
+
+echo
+echo "== failover give-up: the benchmark's fabric-chaos-d5 spec =="
+# Timeouts, failover migration and a surge together: a tenant moved
+# to another link still has a request on the old one, and its timeout
+# must give that request up where it is held. Under deep audits the
+# link's one-outstanding-per-half check catches a give-up sent to the
+# wrong link; the run must complete (exit 0). The spec is the
+# fabric-chaos-d5 workload of perfbench/README.md.
+CHAOS_D5="kind=fabric,d=5,p=5e-3,policy=mwpm,fleet=12,links=2"
+CHAOS_D5+=",scheduler=deadline,placement=least-loaded,hot_fraction=0.25"
+CHAOS_D5+=",hot_mult=3,latency=2,bandwidth=1,deadline=8,timeout=12"
+CHAOS_D5+=",retries=2,shed=true,migrate=32"
+CHAOS_D5+=",faults=outage:500:60:0;spike:150:24:6;drop:0.04;dup:0.03"
+CHAOS_D5+=";corrupt:0.04;surge:300:60:2:1"
+./build-release/btwc_run "${CHAOS_D5}" --cycles 2000 --threads 1 \
+    --audit deep --json build-release/BENCH_chaos_d5.json > /dev/null
+echo "fabric-chaos-d5 deep-audit run OK"
 
 echo
 echo "== micro benchmarks: micro_decoders -> BENCH_decoders.json =="

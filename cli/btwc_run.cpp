@@ -26,6 +26,7 @@
 #include "api/report.hpp"
 #include "api/run.hpp"
 #include "api/scenario.hpp"
+#include "common/check.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
 
@@ -173,8 +174,17 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--repeat requires a positive count\n");
         return 2;
     }
-    Report report = repeat > 1 ? run_scenario_repeated(spec, repeat)
-                               : run_scenario(spec);
+    // A contract violation mid-run (common/check.hpp) is reported like
+    // any other rejected input: its message on stderr, exit 2, never
+    // terminate().
+    Report report;
+    try {
+        report = repeat > 1 ? run_scenario_repeated(spec, repeat)
+                            : run_scenario(spec);
+    } catch (const CheckFailure &failure) {
+        std::fprintf(stderr, "%s\n", failure.what());
+        return 2;
+    }
     if (!name.empty()) {
         report.child("scenario").set("name", name);
     }

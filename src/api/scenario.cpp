@@ -577,14 +577,22 @@ apply_key(SpecBuilder &builder, const std::string &key,
 }
 
 /**
- * Cross-field validation shared by `try_parse` and `apply_flags`:
- * stream window geometry and the stream-tier placement rules. Keeping
- * it here (not only in the harness) turns a mis-specified scenario
- * into a parse-time diagnostic instead of a CheckFailure mid-run.
+ * Cross-field validation shared by `try_parse` and `apply_flags`: the
+ * code distance, stream window geometry and the stream-tier placement
+ * rules. Keeping it here (not only in the harness) turns a
+ * mis-specified scenario into a parse-time diagnostic instead of a
+ * CheckFailure mid-run.
  */
 bool
 validate_spec(const ScenarioSpec &spec, std::string *error)
 {
+    if (spec.code.distance < 3 || spec.code.distance % 2 == 0) {
+        set_error(error, "bad distance " +
+                             std::to_string(spec.code.distance) +
+                             "; a rotated surface code needs an odd "
+                             "distance >= 3");
+        return false;
+    }
     if (spec.kind != ScenarioKind::Fabric) {
         const ScenarioSpec defaults;
         if (spec.service.links != defaults.service.links ||

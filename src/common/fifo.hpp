@@ -15,8 +15,8 @@ namespace btwc {
  * libstdc++, which would silently turn vector<Owner>::reserve into a
  * copy for any move-only Owner holding one (and `BtwcSystem` is
  * move-only). This is the one queue idiom shared by the off-chip
- * service machinery: `OffchipQueue`'s counting FIFOs, the payload
- * FIFOs of `BtwcSystem` and `SharedOffchipService`.
+ * service machinery: `OffchipQueue`'s counting FIFOs and
+ * `SharedOffchipService`'s request table and in-flight FIFO.
  */
 template <typename T>
 class HeadFifo
@@ -39,6 +39,18 @@ class HeadFifo
     T &at(size_t i) { return items_[head_ + i]; }
 
     void push_back(T value) { items_.push_back(std::move(value)); }
+
+    /** Remove live entry i (0 = oldest), keeping the others in order —
+     * a scheduler pick, give-up or shed out of an arrival-ordered
+     * table. O(size) except at the head. */
+    void erase(size_t i)
+    {
+        if (i == 0) {
+            pop_front();
+            return;
+        }
+        items_.erase(items_.begin() + static_cast<long>(head_ + i));
+    }
 
     /** Remove and return the oldest entry (FIFO order). */
     T pop_front()

@@ -15,51 +15,57 @@
 namespace btwc {
 
 /**
- * Multi-tenant off-chip decode service: one latency-L bandwidth-B
- * link (`OffchipQueue`) shared by a whole fleet of `BtwcSystem`
- * pipelines (§5 of the paper -- the machine has *one*
- * fridge-to-room-temperature decoder, not one per logical qubit).
+ * The off-chip decode service: one latency-L bandwidth-B link
+ * (`OffchipQueue`) and the table of requests it carries (§5 of the
+ * paper: a rare complex decode waits for provisioned off-chip
+ * bandwidth, and the machine stalls when the bandwidth runs out).
+ * This is the only carrier of off-chip requests in the library.
  *
- * Ownership inversion: a stand-alone `BtwcSystem` owns a private
- * queue and services it inside its own `step()`; under the shared
- * service the systems only *enqueue* tagged requests during their
- * step, and the fleet harness advances the link exactly once per
+ * A stand-alone `BtwcSystem` owns a one-tenant service and steps it
+ * inside its own `step()`. A fleet instead attaches every tenant to a
+ * shared service: the tenants only *enqueue* tagged requests during
+ * their step, and the fleet harness advances the link exactly once per
  * machine cycle via `step()`, after every tenant has stepped. Served
- * batches therefore mix requests from different qubits, which is what
- * makes `TierChain::decode_batch_from` amortization measurable at
- * fleet scale: within one qubit, batches are bounded by the
+ * batches then mix requests from different qubits, which is what makes
+ * `TierChain::decode_batch_from` amortization measurable at fleet
+ * scale: within one qubit, batches are bounded by the
  * one-outstanding-request-per-half reconciliation contract
  * (core/system.hpp), but N qubits escalating in the same cycle share
  * one decoder invocation per lattice half.
  *
- * The service owns one `TierChain` per lattice half (indexed by error
- * type, like `BtwcSystem`'s frames) for the code it was constructed
- * with; a heterogeneous fleet registers its other code distances via
- * `register_code`, and requests are batched per (distance, half,
- * resume tier) so every request decodes on chains matching its
- * owner's lattice. The chains' decoders are deterministic pure
- * functions of the events, so decoding a request on the service-side
- * chain is bit-identical to decoding it on the owner's private chain.
- * Oracle-policy requests carry their correction in the payload and
- * bypass the chains entirely.
+ * The service decodes on one `TierChain` per lattice half (indexed by
+ * error type, like `BtwcSystem`'s frames) for the code it was
+ * constructed with; a heterogeneous fleet registers its other code
+ * distances via `register_code`, and requests are batched per
+ * (distance, half, resume tier) so every request decodes on chains
+ * matching its owner's lattice. Chains are built by the first decode
+ * that needs them, so a link that never decodes (the unused own link
+ * of an attached tenant, an Oracle-policy fleet) holds no decoder
+ * state. The decoders are deterministic pure functions of the events,
+ * so decoding a request on the service-side chain is bit-identical to
+ * decoding it on the owner's own chain. Oracle-policy requests carry
+ * their correction in the payload and bypass the chains entirely.
  *
- * Scheduling is strict FIFO across owners by default. Combined with
- * the one-outstanding-request-per-half contract (no tenant can occupy
- * more than two link slots), this is round-robin fair: a narrow link
- * serves qubits in their escalation order and no tenant can starve
- * another (tested). `set_scheduler` swaps in one of the decode
- * fabric's disciplines (src/fabric/scheduler.hpp) -- the scheduler
- * re-orders *which* waiting requests enter service each cycle but
- * never *how many*, so the link's stall/backlog/served accounting is
+ * Waiting requests live in one arrival-ordered table; served ones in
+ * one in-flight FIFO whose entries carry their landing metadata. A
+ * `FabricScheduler` picks which waiting request enters service in each
+ * slot. The constructor installs `FifoScheduler`, which serves the
+ * table head in O(1); `set_scheduler` swaps in another of the decode
+ * fabric's disciplines (src/fabric/scheduler.hpp). A discipline
+ * re-orders *which* waiting requests enter service but never *how
+ * many*, so the link's stall/backlog/served accounting is
  * discipline-invariant and only the per-request delay distribution
- * (tracked service-side, per tenant) moves. A `FifoScheduler` is
- * bit-exact with the legacy path and audited in lockstep with it.
+ * (tracked service-side, per tenant) moves. Under FIFO, combined with
+ * the one-outstanding-request-per-half contract (no tenant can occupy
+ * more than two link slots), service is round-robin fair: a narrow
+ * link serves qubits in their escalation order and no tenant can
+ * starve another (tested).
  *
- * With zero latency and unlimited bandwidth the shared service is
- * bit-exact with the private-queue path: corrections land within the
- * cycle that escalated them, after every tenant has stepped -- and
- * since tenants never read each other's frames mid-cycle, the
- * end-of-cycle machine state is identical (tested).
+ * With zero latency and unlimited bandwidth a shared service is
+ * bit-exact with every tenant stepping its own: corrections land
+ * within the cycle that escalated them, after every tenant has
+ * stepped -- and since tenants never read each other's frames
+ * mid-cycle, the end-of-cycle machine state is identical (tested).
  */
 class SharedOffchipService
 {
@@ -85,9 +91,9 @@ class SharedOffchipService
          */
         int distance = 0;
         /**
-         * Link-wide FIFO sequence number, assigned by `enqueue` (any
-         * caller-provided value is overwritten). The audit tier uses
-         * it to prove served order == arrival order across owners.
+         * Link-wide arrival sequence number, assigned by `enqueue`
+         * (any caller-provided value is overwritten). The audit uses
+         * it to prove the waiting table stays in arrival order.
          */
         uint64_t seq = 0;
         /** Link cycle of the enqueue, stamped by `enqueue`. */
@@ -115,12 +121,7 @@ class SharedOffchipService
         bool synthetic = false;           ///< surge ballast (swallowed)
     };
 
-    /**
-     * Scheduled-mode per-tenant link accounting (indexed by owner in
-     * `tenant_stats`). Empty until a scheduler is installed: the
-     * legacy strict-FIFO path keeps its original, tenant-blind
-     * accounting untouched.
-     */
+    /** Per-tenant link accounting (indexed by owner in `tenant_stats`). */
     struct TenantLinkStats
     {
         uint64_t enqueued = 0;
@@ -151,21 +152,23 @@ class SharedOffchipService
         }
     };
 
+    /**
+     * A FIFO link for `code`'s requests. `code` (like every code
+     * passed to `register_code`) must outlive the service.
+     */
     SharedOffchipService(const RotatedSurfaceCode &code,
                          const TierChainConfig &tiers,
                          OffchipQueueConfig link);
 
     /**
-     * Install a serve-selection discipline (decode fabric mode). Must
+     * Replace the default `FifoScheduler` (decode fabric mode). Must
      * be called before the first `enqueue`; the discipline then owns
      * the serve order for the whole run (a mid-run swap would tear the
-     * audit trail). Installing `FifoScheduler` keeps the serve order
-     * bit-exact with the legacy path while enabling the scheduled-mode
-     * per-tenant accounting (pinned in tests/test_fabric.cpp).
+     * audit trail).
      */
     void set_scheduler(std::unique_ptr<FabricScheduler> scheduler);
 
-    /** Installed discipline, or nullptr on the legacy FIFO path. */
+    /** The installed serve discipline (never null). */
     const FabricScheduler *scheduler() const { return scheduler_.get(); }
 
     /**
@@ -183,9 +186,9 @@ class SharedOffchipService
     LaneExtremes lane_extremes() const;
 
     /**
-     * Build decode chains for an additional code distance so a
-     * heterogeneous fleet's requests decode on matching lattices.
-     * Idempotent; the constructor code is implicitly registered.
+     * Register an additional code distance so a heterogeneous fleet's
+     * requests decode on matching lattices. Idempotent; the
+     * constructor code is implicitly registered.
      */
     void register_code(const RotatedSurfaceCode &code);
 
@@ -205,12 +208,12 @@ class SharedOffchipService
     }
 
     /**
-     * Enable admission-control load shedding (scheduled mode only):
-     * each `step()` first sheds every waiting request already past its
-     * lane deadline and delivers an empty-correction nack to its owner
-     * in the same cycle, so the owner's half unblocks instead of
-     * waiting on a decode that could no longer help. Expired synthetic
-     * surge ballast is shed silently (counted, no nack) — that is what
+     * Enable admission-control load shedding: each `step()` first
+     * sheds every waiting request already past its lane deadline and
+     * delivers an empty-correction nack to its owner in the same
+     * cycle, so the owner's half unblocks instead of waiting on a
+     * decode that could no longer help. Expired synthetic surge
+     * ballast is shed silently (counted, no nack) — that is what
      * bounds the backlog under a beyond-bandwidth surge.
      */
     void enable_shedding(bool on);
@@ -229,7 +232,7 @@ class SharedOffchipService
      * fallback decode (core/system.hpp). A waiting request is removed
      * outright; an in-flight one cannot be recalled from the link, so
      * its eventual landing is marked stale and silently discarded.
-     * Scheduled mode only.
+     * Must be called on the service that holds the request.
      */
     GiveUpResult give_up(int owner, int half);
 
@@ -245,8 +248,8 @@ class SharedOffchipService
     /**
      * Add one escalation to the current cycle's fresh demand. Tenants
      * call this from inside their `step()`; the request waits for
-     * link capacity behind every earlier request from any tenant
-     * (or per the installed scheduler's discipline).
+     * link capacity per the installed discipline (under FIFO, behind
+     * every earlier request from any tenant).
      */
     void enqueue(Request request);
 
@@ -265,19 +268,19 @@ class SharedOffchipService
     const OffchipQueue &queue() const { return queue_; }
 
     /** Requests enqueued or in flight whose correction has not landed. */
-    size_t pending() const { return waiting_count() + inflight_.size(); }
+    size_t pending() const { return waiting_.size() + inflight_.size(); }
 
     /**
-     * Scheduled-mode enqueue-to-landing delays, recorded service-side
-     * because the counting queue's FIFO delay groups no longer match
-     * individual requests once a discipline re-orders service. Under
-     * `FifoScheduler` this is bin-for-bin equal to
-     * `queue().delay_histogram()` (pinned in tests). Empty on the
-     * legacy path.
+     * Enqueue-to-landing delays of delivered corrections, recorded
+     * per request because the counting queue's FIFO delay groups stop
+     * matching individual requests once a discipline re-orders
+     * service. Under `FifoScheduler` on a healthy link this is
+     * bin-for-bin equal to `queue().delay_histogram()` (pinned in
+     * tests).
      */
     const CountHistogram &delay_histogram() const { return delay_; }
 
-    /** Scheduled-mode landings past their lane deadline. */
+    /** Landings past their lane deadline. */
     uint64_t deadline_misses() const { return deadline_misses_; }
 
     /** Corrections actually delivered to owners (excludes dropped,
@@ -306,32 +309,32 @@ class SharedOffchipService
     uint64_t surge_enqueued() const { return surge_enqueued_; }
     uint64_t surge_landed() const { return surge_landed_; }
 
-    /** Scheduled-mode per-tenant accounting, indexed by owner. */
+    /** Per-tenant accounting, indexed by owner. */
     const std::vector<TenantLinkStats> &tenant_stats() const
     {
         return tenant_stats_;
     }
 
     /**
-     * Verify the shared-link contracts in place: the underlying
-     * `OffchipQueue` audit, payload FIFOs in lockstep with the
-     * counting FIFOs (waiting == backlog + fresh, in-flight counts
-     * match), strictly increasing sequence numbers along the waiting
-     * entries (arrival order), at most one outstanding request per
-     * (owner, half) across waiting + in-flight — relaxed by the number
-     * of stale give-up keys the half still has in flight — and the
-     * resulting `pending() <= 2 * owners + synthetic + stale` backlog
-     * bound (byte-exact with the legacy `2 * owners` bound when no
-     * faults machinery is active). The fault ledger closes the
-     * conservation generalization: every queue landing is exactly one
-     * of delivered / dropped / stale-discarded / synthetic-swallowed
+     * Verify the link contracts in place: the underlying
+     * `OffchipQueue` audit, the request table and in-flight FIFO in
+     * lockstep with the counting FIFOs (waiting == backlog + fresh,
+     * in-flight counts match), strictly increasing sequence numbers
+     * along the waiting table (arrival order), at most one outstanding
+     * request per (owner, half) across waiting + in-flight — relaxed
+     * by the number of stale give-up keys the half still has in
+     * flight — and the resulting
+     * `pending() <= 2 * owners + synthetic + stale` backlog bound
+     * (exactly `2 * owners` when no fault machinery is active). The
+     * fault ledger closes the conservation generalization: every queue
+     * landing is exactly one of delivered / dropped / stale-discarded /
+     * synthetic-swallowed
      * (landed == delivered + dropped + stale + surge_landed), and
      * every queue shed is deadline-shed or give-up-canceled
      * (shed_total == shed + canceled); with `OffchipQueue::audit`'s
      * enqueued == served + shed + backlog this pins "every request is
-     * exactly one of served / shed / pending". With a scheduler
-     * installed, additionally: the landing metadata FIFO tracks the
-     * in-flight FIFO, and no waiting request has aged past the
+     * exactly one of served / shed / pending". On a link with no live
+     * fault plan, additionally no waiting request has aged past the
      * discipline's `starvation_bound` (no starvation beyond the aging
      * bound). Runs automatically after every `step()` at
      * AuditLevel::Deep (enqueue additionally rejects double-enqueues
@@ -342,34 +345,28 @@ class SharedOffchipService
   private:
     friend struct OffchipServiceTestPeer;  ///< test-only corruption hook
 
-    /** Per-served-request landing metadata (scheduled mode only). */
-    struct LandMeta
+    /** A served request on its way back: the delivery plus the
+     * landing metadata its delay and deadline accounting reads. */
+    struct InFlight
     {
-        int owner = 0;
+        Delivery delivery;
         uint64_t arrival_cycle = 0;
         uint64_t deadline_cycle = 0;
     };
 
-    /** Decode chains of one registered extra code distance. */
-    struct ExtraChains
+    /** Decode chains of one registered code distance. */
+    struct CodeChains
     {
-        int distance = 0;
-        std::vector<TierChain> chains;  ///< per half, like chains_
+        const RotatedSurfaceCode *code = nullptr;
+        std::vector<TierChain> chains;  ///< per half; built on first use
     };
-
-    /** Waiting entries regardless of mode (legacy FIFO or scheduled). */
-    size_t waiting_count() const
-    {
-        return scheduler_ ? sched_waiting_.size() : waiting_.size();
-    }
-
-    const Request &waiting_at(size_t i) const
-    {
-        return scheduler_ ? sched_waiting_[i] : waiting_.at(i);
-    }
 
     /** Chains serving `distance` (0 = the constructor code). */
     std::vector<TierChain> &chains_for(int distance);
+
+    /** Stamp a request's sequence, arrival and deadline; count it as
+     * fresh demand and append it to the waiting table. */
+    void admit(Request request);
 
     /** Pop the requests entering service this cycle, in serve order. */
     std::vector<Request> take_served(uint64_t count);
@@ -380,34 +377,33 @@ class SharedOffchipService
     /** Outstanding stale give-up keys for (owner, half). */
     size_t stale_count(int owner, int half) const;
 
+    /** Live entries of (owner, half) in the first `waiting_prefix`
+     * waiting requests plus the whole in-flight FIFO. */
+    size_t outstanding(int owner, int half, size_t waiting_prefix) const;
+
     /** Decode `served` (batched per distance/half/tier) into flight. */
     void serve_decode(std::vector<Request> served);
 
     TenantLinkStats &tenant_slot(int owner);
 
     OffchipQueue queue_;
-    std::vector<TierChain> chains_;  ///< per half, indexed by error type
-    TierChainConfig tiers_;          ///< for register_code
-    int base_distance_ = 0;          ///< constructor code's distance
-    std::vector<ExtraChains> extra_chains_;
+    TierChainConfig tiers_;
+    std::vector<CodeChains> codes_;  ///< [0] = the constructor code
     uint64_t fresh_ = 0;             ///< enqueued since the last step()
     uint64_t next_seq_ = 0;          ///< arrival stamp for Request::seq
     int owners_seen_ = 0;            ///< 1 + largest owner ever enqueued
-    // Payload FIFOs in the same order as the queue's counting FIFOs:
-    // the per-cycle served/landed counts say how many entries to move.
-    HeadFifo<Request> waiting_;
-    HeadFifo<Delivery> inflight_;
-    std::vector<Delivery> landed_now_;
-    // Scheduled mode (scheduler_ != nullptr): the waiting set lives in
-    // a plain vector (arrival order) so picks can remove from the
-    // middle, and landing metadata rides a FIFO parallel to inflight_.
     std::unique_ptr<FabricScheduler> scheduler_;
-    std::vector<Request> sched_waiting_;
-    HeadFifo<LandMeta> inflight_meta_;
+    // The request table, in arrival order. The queue's per-cycle
+    // served/landed counts say how many entries move from `waiting_`
+    // into `inflight_` and out of it; a discipline's picks remove from
+    // anywhere in `waiting_`, `inflight_` lands in serve order.
+    HeadFifo<Request> waiting_;
+    HeadFifo<InFlight> inflight_;
+    std::vector<SchedView> views_;   ///< non-FIFO pick scratch
+    std::vector<Delivery> landed_now_;
     std::vector<TenantLane> lanes_;  ///< indexed by owner
     CountHistogram delay_;
     uint64_t deadline_misses_ = 0;
-    uint64_t fifo_next_seq_ = 0;     ///< FIFO-lockstep audit cursor
     std::vector<TenantLinkStats> tenant_stats_;
     // Fault machinery (all inert — and every counter zero — until an
     // injector is installed, shedding enabled, or give_up called).

@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "core/offchip_queue.hpp"
 #include "core/offchip_service.hpp"
-#include "core/stall.hpp"
 #include "sim/engine.hpp"
 #include "surface/lattice.hpp"
 
@@ -437,7 +436,7 @@ run_fleet_with_bandwidth(const FleetConfig &config, uint64_t bandwidth)
     // The off-chip link as an async service (core/offchip_queue.hpp):
     // bandwidth-limited FIFO with `offchip_latency` cycles between a
     // decode entering service and its correction landing. Latency 0
-    // reproduces the historical StallController run step-for-step.
+    // is the paper's synchronous stall model step for step.
     const uint64_t effective = bandwidth ? bandwidth : 1;
     OffchipQueue queue(OffchipQueueConfig{effective, config.offchip_latency,
                                           config.offchip_batch});
@@ -477,9 +476,11 @@ run_fleet_with_bandwidth(const FleetConfig &config, uint64_t bandwidth)
 std::vector<TraceCycle>
 fleet_trace(const FleetConfig &config, uint64_t bandwidth)
 {
+    // The same link run_fleet_with_bandwidth drives, at latency 0
+    // (the trace shows stalls and carryover, not queueing delay).
     const DemandModel model(config);
     Rng rng(config.seed);
-    StallController queue(bandwidth);
+    OffchipQueue queue(OffchipQueueConfig{bandwidth ? bandwidth : 1, 0, 0});
     std::vector<TraceCycle> trace;
     trace.reserve(config.cycles);
     for (uint64_t cycle = 0; cycle < config.cycles; ++cycle) {

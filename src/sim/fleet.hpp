@@ -50,8 +50,8 @@ struct FleetConfig
     /**
      * Off-chip service latency in cycles (see
      * core/offchip_queue.hpp): corrections land this many cycles
-     * after their decode is served. 0 reproduces the historical
-     * synchronous StallController run bit-for-bit; nonzero shifts the
+     * after their decode is served. 0 is the paper's synchronous
+     * stall model (§5.2) step for step; nonzero shifts the
      * queue-delay distribution without changing the stall behavior
      * (latency is pipelined, only backlog stalls).
      */

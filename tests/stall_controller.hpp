@@ -1,27 +1,19 @@
 #pragma once
 
+/**
+ * @file
+ * Test-only reference model of decode-overflow execution stalling
+ * (§5.2 of the paper): the oracle `OffchipQueue` is pinned against at
+ * latency 0, and `fleet_trace` cycle for cycle. It is the plain
+ * Lindley recursion backlog' = max(0, backlog + fresh - B) with the
+ * stall flag, nothing else, so a reader can check it by eye.
+ */
+
 #include <cstdint>
-#include <limits>
+
+#include "core/offchip_queue.hpp"
 
 namespace btwc {
-
-/**
- * Relative execution-time increase of a stalled run: stall cycles per
- * work cycle (the paper's Fig. 16 x-axis). An all-stall run — stalls
- * recorded but zero work cycles — is an infinite slowdown, not a free
- * one, so it saturates to +inf instead of reading as 0.
- */
-inline double
-stall_execution_time_increase(uint64_t stall_cycles, uint64_t work_cycles)
-{
-    if (work_cycles == 0) {
-        return stall_cycles == 0
-                   ? 0.0
-                   : std::numeric_limits<double>::infinity();
-    }
-    return static_cast<double>(stall_cycles) /
-           static_cast<double>(work_cycles);
-}
 
 /**
  * Decode-overflow execution stalling (§5.2 of the paper).

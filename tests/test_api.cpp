@@ -109,6 +109,7 @@ TEST(ScenarioSpec, RejectsMalformedSpecs)
     const std::vector<std::string> bad = {
         "kind=nope",
         "d=2",             // below the smallest surface code
+        "kind=lifetime,d=4",  // even: no rotated surface code
         "d=abc",
         "p=1.5",           // not a probability
         "p=",
@@ -149,6 +150,13 @@ TEST(ScenarioSpec, RejectsMalformedSpecs)
         EXPECT_EQ(out.code.distance, 9);
         EXPECT_THROW(ScenarioSpec::parse(text), std::invalid_argument);
     }
+    // The flag spelling of an even distance is rejected the same way.
+    const char *argv[] = {"prog", "--distance=6"};
+    const Flags flags(2, argv);
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(spec.apply_flags(flags, &error));
+    EXPECT_NE(error.find("odd"), std::string::npos) << error;
 }
 
 TEST(ScenarioSpec, BareTokensAfterTiersEndWithAnyKeyValue)

@@ -31,17 +31,14 @@
 
 namespace btwc {
 
-/** Test-only hook into SharedOffchipService's payload FIFO, used to
- * prove the audit actually detects a broken FIFO order (the friend
- * declaration is the only way in: the FIFO has no mutable walk). */
+/** Test-only hook into SharedOffchipService's request table, used to
+ * prove the audit actually detects a broken arrival order (the friend
+ * declaration is the only way in: the table is private). */
 struct OffchipServiceTestPeer
 {
     static void swap_oldest_waiting(SharedOffchipService &service)
     {
-        SharedOffchipService::Request a = service.waiting_.pop_front();
-        SharedOffchipService::Request b = service.waiting_.pop_front();
-        service.waiting_.push_back(std::move(b));
-        service.waiting_.push_back(std::move(a));
+        std::swap(service.waiting_.at(0), service.waiting_.at(1));
     }
 };
 

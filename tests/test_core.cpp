@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/bandwidth.hpp"
-#include "core/stall.hpp"
 #include "core/system.hpp"
+#include "stall_controller.hpp"
 #include "surface/lattice.hpp"
 #include "surface/noise.hpp"
 

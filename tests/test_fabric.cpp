@@ -2,7 +2,7 @@
  * @file
  * Tests for the decode fabric (src/fabric): scheduler pick semantics
  * and starvation bounds, tenant placement policies, the pinned
- * FIFO/K=1/uniform bit-exactness with the legacy shared-link path
+ * FIFO/K=1/uniform bit-exactness with the plain shared-link fleet
  * (lockstep frames AND merged harness statistics), deadline-miss
  * accounting, scheduler-induced per-tenant tail separation under
  * contention, probe purity, per-tenant heterogeneity plumbing, and
@@ -199,11 +199,14 @@ TEST(Placement, PoliciesMapTenantsAsDocumented)
 
 TEST(FabricFifo, LockstepFramesWithLegacySharedService)
 {
-    // The tentpole's pinned corner at system granularity: a FIFO
-    // fabric of one link must produce, cycle by cycle, exactly the
-    // frame trajectory of the legacy (schedulerless) shared service --
-    // the scheduled code path reorders nothing and perturbs nothing.
-    // Deep audits also arm the service-internal FIFO lockstep check.
+    // The pinned FIFO corner at system granularity: a one-link fabric
+    // must produce, cycle by cycle, exactly the frame trajectory of a
+    // plain service serving its table head in O(1) (the constructor
+    // FIFO). The fabric runs EDF over deadline-free lanes, which
+    // orders exactly like FIFO but goes through the general pick path
+    // (views built once per cycle, erased in lockstep with the table):
+    // the two serve paths must reorder nothing and perturb nothing.
+    // Deep audits re-prove the table/queue lockstep every cycle.
     const ScopedAuditLevel deep(AuditLevel::Deep);
     const RotatedSurfaceCode code(3);
     SystemConfig config;
@@ -212,7 +215,8 @@ TEST(FabricFifo, LockstepFramesWithLegacySharedService)
     const OffchipQueueConfig link{1, 2, 0};  // narrow: real queueing
 
     SharedOffchipService legacy(code, config.tiers, link);
-    FabricTopology topology;  // links=1, Fifo, StaticHash
+    FabricTopology topology;  // links=1, StaticHash, no deadline
+    topology.scheduler = SchedulerKind::Deadline;
     Fabric fabric(topology, code, config.tiers, link,
                   std::vector<double>(fleet_size, 8e-3));
 
@@ -268,9 +272,11 @@ TEST(FabricFifo, LockstepFramesWithLegacySharedService)
         }
     }
     ASSERT_GT(shipped, 0u);
-    // Under FIFO the service-side delay accounting is bin-for-bin the
-    // queue's own histogram -- the invariant that lets scheduled mode
-    // report delays the legacy path never had to track per request.
+    // In FIFO order the service-side delay accounting is bin-for-bin
+    // the queue's own histogram -- the invariant that lets a
+    // reordering discipline report per-request delays at all.
+    EXPECT_EQ(legacy.delay_histogram().counts(),
+              legacy.queue().delay_histogram().counts());
     EXPECT_EQ(fabric.link(0).delay_histogram().counts(),
               fabric.link(0).queue().delay_histogram().counts());
 }

@@ -10,7 +10,9 @@
  * landings, shed nacks), tenant timeout/retry/fallback degradation,
  * link failover migration, the spec grammar's cross-field validation
  * matrix for the chaos keys, the degraded-vs-disabled acceptance
- * experiment, and a 10k-cycle flapping-link soak under deep audits.
+ * experiment, a 10k-cycle flapping-link soak under deep audits, and
+ * the failover give-up regression (a timed-out request is given up
+ * on the link that holds it, not the one the tenant moved to).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "api/report.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "common/check.hpp"
 #include "core/offchip_queue.hpp"
@@ -760,6 +764,55 @@ TEST(FaultSoak, TenThousandCycleFlappingLinkHoldsEveryContract)
                   stats.faults.corrupted,
               0u);
     EXPECT_GT(stats.landed, 0u);
+}
+
+// ------------------------------------------- failover give-up regression
+
+TEST(FaultSoak, GiveUpAfterFailoverTargetsTheHoldingLink)
+{
+    // The benchmark's fabric-chaos-d5 spec (perfbench/README.md) under
+    // deep audits: timeouts, failover migration and a surge together.
+    // A tenant re-homed by a failover still has a request on its old
+    // link; when that request times out, the give-up must reach the
+    // old link. Sent to the new link instead, the old request was never
+    // marked stale, the half re-escalated, and the link's
+    // one-outstanding-per-half check threw mid-run on every seed.
+    const std::string chaos_d5 =
+        "kind=fabric,d=5,p=5e-3,policy=mwpm,fleet=12,links=2,"
+        "scheduler=deadline,placement=least-loaded,hot_fraction=0.25,"
+        "hot_mult=3,latency=2,bandwidth=1,deadline=8,timeout=12,"
+        "retries=2,shed=true,migrate=32,faults=outage:500:60:0;"
+        "spike:150:24:6;drop:0.04;dup:0.03;corrupt:0.04;"
+        "surge:300:60:2:1,threads=1,audit=deep,cycles=2000";
+    for (const int seed : {1, 2, 3}) {
+        const ScenarioSpec spec = ScenarioSpec::parse(
+            chaos_d5 + ",seed=" + std::to_string(seed));
+        Report report;
+        ASSERT_NO_THROW(report = run_scenario(spec)) << "seed " << seed;
+        const auto metric = [&](const std::string &path) {
+            uint64_t value = 0;
+            EXPECT_TRUE(report.lookup_uint("metrics." + path, &value))
+                << path;
+            return value;
+        };
+        // The run exercised what the defect needed ...
+        EXPECT_GT(metric("faults.migrations"), 0u) << "seed " << seed;
+        EXPECT_GT(metric("faults.retried") + metric("faults.degraded"),
+                  0u)
+            << "seed " << seed;
+        // ... and its ledgers balance: every link enqueue is a tenant
+        // escalation or surge ballast, and every link landing is
+        // delivered, dropped, stale or swallowed ballast.
+        uint64_t shipped = 0;
+        for (int q = 0; q < spec.service.fleet_size; ++q) {
+            shipped += metric("fabric.tenants.t" + std::to_string(q) +
+                              ".enqueued");
+        }
+        EXPECT_EQ(metric("enqueued"),
+                  shipped + metric("faults.surge_enqueued"))
+            << "seed " << seed;
+        EXPECT_LE(metric("landed"), metric("served")) << "seed " << seed;
+    }
 }
 
 } // namespace

@@ -2,9 +2,11 @@
  * @file
  * Tests for the asynchronous off-chip decode service: the
  * latency/bandwidth OffchipQueue (core/offchip_queue.hpp), its
- * StallController equivalence at zero latency, the queued-correction
- * semantics of BtwcSystem (zero-latency bit-exactness against the
- * synchronous Inline path, corrections landing mid-filter-window,
+ * equivalence with the stall-model oracle at zero latency, the
+ * queued-correction semantics of BtwcSystem (zero-latency
+ * bit-exactness against a synchronous reference loop that applies
+ * every off-chip decode in its own cycle, corrections landing
+ * mid-filter-window,
  * backlog growth under a narrow link), the batched decode path, and
  * `--threads` determinism of the new queue statistics.
  */
@@ -16,11 +18,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/filter.hpp"
 #include "core/offchip_queue.hpp"
-#include "core/stall.hpp"
 #include "core/system.hpp"
+#include "sim/engine.hpp"
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
+#include "stall_controller.hpp"
 #include "surface/lattice.hpp"
 #include "surface/noise.hpp"
 
@@ -133,9 +137,93 @@ TEST(StallModel, AllStallRunReadsAsInfiniteSlowdown)
     EXPECT_DOUBLE_EQ(stall_execution_time_increase(1, 4), 0.25);
 }
 
-/** Step both systems and require identical reports and error frames. */
+/**
+ * Synchronous reference pipeline: the same noise, measurement, filter
+ * and tier walk as BtwcSystem, with every off-chip decode resolved in
+ * the cycle that escalated it -- the chain's off-chip tiers run
+ * in-step under the Mwpm policy, and the Oracle policy clears the
+ * error state in-step. No link, no queue, no reconciliation: this is
+ * the model a zero-latency unlimited-bandwidth link must reproduce.
+ */
+class SyncReference
+{
+  public:
+    SyncReference(const RotatedSurfaceCode &code, NoiseParams noise,
+                  const SystemConfig &config, uint64_t seed)
+        : noise_(noise), rng_(seed)
+    {
+        options_.stop_before_offchip =
+            config.offchip == OffchipPolicy::Oracle;
+        for (const CheckType err : {CheckType::X, CheckType::Z}) {
+            const CheckType detector = detector_of_error(err);
+            frames_.emplace_back(code, err);
+            chains_.emplace_back(code, detector, config.tiers);
+            filters_.emplace_back(code.num_checks(detector),
+                                  config.filter_rounds);
+        }
+    }
+
+    CycleReport step()
+    {
+        CycleReport report;
+        for (size_t t = 0; t < 2; ++t) {
+            ErrorFrame &frame = frames_[t];
+            frame.inject(noise_.p_data, rng_);
+            frame.measure_packed(noise_.p_meas, rng_, raw_);
+            report.raw_weight += raw_.popcount();
+            chains_[t].decode_syndrome(filters_[t].push(raw_), options_,
+                                       outcome_[t]);
+            const int detector = static_cast<int>(frame.detector());
+            report.type_verdict[detector] = classify_decode(outcome_[t]);
+            report.tier_used[detector] = outcome_[t].tier;
+            report.type_offchip[detector] = outcome_[t].offchip;
+            if (report.type_verdict[detector] == CliqueVerdict::Complex) {
+                report.verdict = CliqueVerdict::Complex;
+            } else if (report.type_verdict[detector] ==
+                           CliqueVerdict::Trivial &&
+                       report.verdict == CliqueVerdict::AllZeros) {
+                report.verdict = CliqueVerdict::Trivial;
+            }
+            report.offchip |= outcome_[t].offchip;
+        }
+        for (size_t t = 0; t < 2; ++t) {
+            const TierChain::Result &outcome = outcome_[t];
+            if (outcome.decode.defects == 0) {
+                continue;
+            }
+            if (outcome.resolved) {
+                frames_[t].apply_mask(outcome.decode.correction);
+                if (outcome.tier_index == 0) {
+                    report.clique_corrections +=
+                        static_cast<int>(outcome.decode.weight);
+                }
+            } else if (outcome.offchip && options_.stop_before_offchip) {
+                frames_[t].reset();  // the oracle's in-step resolution
+            }
+        }
+        return report;
+    }
+
+    const ErrorFrame &frame(CheckType error_type) const
+    {
+        return frames_[static_cast<size_t>(error_type)];
+    }
+
+  private:
+    NoiseParams noise_;
+    Rng rng_;
+    TierChain::Options options_;
+    std::vector<ErrorFrame> frames_;  ///< indexed by error type
+    std::vector<TierChain> chains_;
+    std::vector<PackedMeasurementFilter> filters_;
+    PackedSyndrome raw_;
+    TierChain::Result outcome_[2];
+};
+
+/** Step the reference and the system; require identical reports and
+ * error frames every cycle. */
 void
-expect_lockstep(BtwcSystem &a, BtwcSystem &b, int cycles)
+expect_lockstep(SyncReference &a, BtwcSystem &b, int cycles)
 {
     for (int i = 0; i < cycles; ++i) {
         const CycleReport ra = a.step();
@@ -152,6 +240,9 @@ expect_lockstep(BtwcSystem &a, BtwcSystem &b, int cycles)
             ASSERT_EQ(ra.type_offchip[t], rb.type_offchip[t])
                 << "cycle " << i;
         }
+        // Nothing is ever held back or left in flight at L=0.
+        ASSERT_EQ(rb.suppressed, 0) << "cycle " << i;
+        ASSERT_EQ(rb.landed, rb.queued) << "cycle " << i;
         for (const CheckType err : {CheckType::X, CheckType::Z}) {
             ASSERT_EQ(a.frame(err).error(), b.frame(err).error())
                 << "cycle " << i;
@@ -162,25 +253,19 @@ expect_lockstep(BtwcSystem &a, BtwcSystem &b, int cycles)
 TEST(QueuedService, ZeroLatencyBitExactWithInlineOracle)
 {
     const RotatedSurfaceCode code(7);
-    SystemConfig inline_config;
-    inline_config.service = OffchipService::Inline;
-    SystemConfig queued_config;
-    queued_config.service = OffchipService::Queued;
-    BtwcSystem a(code, NoiseParams::uniform(5e-3), inline_config, 11);
-    BtwcSystem b(code, NoiseParams::uniform(5e-3), queued_config, 11);
+    const SystemConfig config;
+    SyncReference a(code, NoiseParams::uniform(5e-3), config, 11);
+    BtwcSystem b(code, NoiseParams::uniform(5e-3), config, 11);
     expect_lockstep(a, b, 3000);
 }
 
 TEST(QueuedService, ZeroLatencyBitExactWithInlineMwpm)
 {
     const RotatedSurfaceCode code(5);
-    SystemConfig inline_config;
-    inline_config.offchip = OffchipPolicy::Mwpm;
-    inline_config.service = OffchipService::Inline;
-    SystemConfig queued_config = inline_config;
-    queued_config.service = OffchipService::Queued;
-    BtwcSystem a(code, NoiseParams::uniform(8e-3), inline_config, 12);
-    BtwcSystem b(code, NoiseParams::uniform(8e-3), queued_config, 12);
+    SystemConfig config;
+    config.offchip = OffchipPolicy::Mwpm;
+    SyncReference a(code, NoiseParams::uniform(8e-3), config, 12);
+    BtwcSystem b(code, NoiseParams::uniform(8e-3), config, 12);
     expect_lockstep(a, b, 3000);
 }
 
@@ -189,22 +274,19 @@ TEST(QueuedService, ZeroLatencyBitExactDeepChain)
     // The deep Clique -> UF -> MWPM chain: on-chip mid-tiers keep
     // running in phase 1, only the off-chip remainder is queued.
     const RotatedSurfaceCode code(7);
-    SystemConfig inline_config;
-    inline_config.offchip = OffchipPolicy::Mwpm;
-    inline_config.tiers = TierChainConfig::deep();
-    inline_config.service = OffchipService::Inline;
-    SystemConfig queued_config = inline_config;
-    queued_config.service = OffchipService::Queued;
-    BtwcSystem a(code, NoiseParams::uniform(8e-3), inline_config, 13);
-    BtwcSystem b(code, NoiseParams::uniform(8e-3), queued_config, 13);
+    SystemConfig config;
+    config.offchip = OffchipPolicy::Mwpm;
+    config.tiers = TierChainConfig::deep();
+    SyncReference a(code, NoiseParams::uniform(8e-3), config, 13);
+    BtwcSystem b(code, NoiseParams::uniform(8e-3), config, 13);
     expect_lockstep(a, b, 2000);
 }
 
 TEST(QueuedService, RunLifetimeZeroLatencyReproducesSynchronousStats)
 {
     // The acceptance criterion: --offchip-latency 0 reproduces the
-    // synchronous run_lifetime results bit-for-bit (same seed and
-    // thread count), for both policies.
+    // synchronous reference bit-for-bit (same seed and shard plan),
+    // for both policies.
     for (const OffchipPolicy policy :
          {OffchipPolicy::Oracle, OffchipPolicy::Mwpm}) {
         LifetimeConfig config;
@@ -214,10 +296,39 @@ TEST(QueuedService, RunLifetimeZeroLatencyReproducesSynchronousStats)
         config.mode = LifetimeMode::Pipeline;
         config.offchip = policy;
         config.threads = 2;
-        config.service = OffchipService::Inline;
-        const LifetimeStats sync = run_lifetime(config);
-        config.service = OffchipService::Queued;
         const LifetimeStats queued = run_lifetime(config);
+
+        // The reference over the same shard plan run_lifetime uses.
+        const RotatedSurfaceCode code(config.distance);
+        SystemConfig sys_config;
+        sys_config.offchip = policy;
+        LifetimeStats sync;
+        for (const Shard &shard :
+             plan_shards(config.cycles, config.threads, config.seed)) {
+            SyncReference reference(code, NoiseParams::uniform(config.p),
+                                    sys_config, shard.seed);
+            for (uint64_t cycle = 0; cycle < shard.cycles; ++cycle) {
+                const CycleReport report = reference.step();
+                sync.all_zero_cycles +=
+                    report.verdict == CliqueVerdict::AllZeros ? 1 : 0;
+                sync.trivial_cycles +=
+                    report.verdict == CliqueVerdict::Trivial ? 1 : 0;
+                sync.complex_cycles +=
+                    report.verdict == CliqueVerdict::Complex ? 1 : 0;
+                sync.offchip_cycles += report.offchip ? 1 : 0;
+                sync.clique_corrections +=
+                    static_cast<uint64_t>(report.clique_corrections);
+                sync.raw_weight.add(
+                    static_cast<uint64_t>(report.raw_weight));
+                for (int t = 0; t < 2; ++t) {
+                    const bool complex =
+                        report.type_verdict[t] == CliqueVerdict::Complex;
+                    sync.complex_halves += complex ? 1 : 0;
+                    sync.offchip_halves +=
+                        complex && report.type_offchip[t] ? 1 : 0;
+                }
+            }
+        }
 
         EXPECT_EQ(sync.all_zero_cycles, queued.all_zero_cycles);
         EXPECT_EQ(sync.trivial_cycles, queued.trivial_cycles);
@@ -349,9 +460,9 @@ TEST(QueuedService, ThreadedQueueStatsAreDeterministic)
 
 TEST(FleetLatency, ZeroLatencyFleetRunMatchesLegacyBitExact)
 {
-    // run_fleet_with_bandwidth moved from StallController to
-    // OffchipQueue; at latency 0 the stall/backlog trajectory must be
-    // unchanged and every served decode's delay must be 0.
+    // run_fleet_with_bandwidth drives an OffchipQueue; at latency 0
+    // its stall/backlog trajectory must be the stall-model oracle's
+    // and every served decode's delay must be 0.
     FleetConfig config;
     config.num_qubits = 1000;
     config.cycles = 20000;
@@ -361,8 +472,8 @@ TEST(FleetLatency, ZeroLatencyFleetRunMatchesLegacyBitExact)
     EXPECT_EQ(run.max_queue_delay, 0u);
     EXPECT_DOUBLE_EQ(run.mean_queue_delay, 0.0);
 
-    // Reference trajectory straight off the StallController with the
-    // identical demand stream.
+    // Reference trajectory straight off the oracle with the identical
+    // demand stream.
     Rng rng(config.seed);
     StallController reference(40);
     while (reference.work_cycles() < config.cycles) {

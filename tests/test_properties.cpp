@@ -14,10 +14,10 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/filter.hpp"
-#include "core/stall.hpp"
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/memory.hpp"
+#include "stall_controller.hpp"
 
 namespace btwc {
 namespace {

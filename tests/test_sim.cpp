@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "sim/fleet.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/memory.hpp"
+#include "stall_controller.hpp"
 
 namespace btwc {
 namespace {
@@ -378,6 +381,39 @@ TEST(Fleet, TraceMarksStallsAndCarryover)
     }
     EXPECT_TRUE(saw_stall);
     EXPECT_TRUE(saw_carryover);
+}
+
+TEST(Fleet, TraceMatchesStallOracleCycleForCycle)
+{
+    // fleet_trace runs the library's OffchipQueue at latency 0; every
+    // cycle's carryover, stall flag and served count must be the
+    // stall-model oracle's on the same demand, and the demand the
+    // trace's own binomial stream. Bandwidth 0 clamps to 1 as before.
+    for (const uint64_t bandwidth : {0u, 40u, 55u}) {
+        FleetConfig config;
+        config.num_qubits = 1000;
+        config.cycles = 2000;
+        config.offchip_prob = 0.05;
+        const std::vector<TraceCycle> trace = fleet_trace(config, bandwidth);
+        ASSERT_EQ(trace.size(), config.cycles);
+        Rng rng(config.seed);
+        StallController oracle(bandwidth);
+        for (size_t cycle = 0; cycle < trace.size(); ++cycle) {
+            const TraceCycle &entry = trace[cycle];
+            ASSERT_EQ(entry.fresh,
+                      rng.binomial(static_cast<uint64_t>(config.num_qubits),
+                                   config.offchip_prob))
+                << "cycle " << cycle;
+            ASSERT_EQ(entry.carryover, oracle.backlog()) << "cycle " << cycle;
+            ASSERT_EQ(entry.stall, oracle.stall_pending())
+                << "cycle " << cycle;
+            const uint64_t before = oracle.served();
+            oracle.step(entry.fresh);
+            ASSERT_EQ(entry.served, oracle.served() - before)
+                << "cycle " << cycle;
+        }
+        EXPECT_GT(oracle.stall_cycles(), 0u) << "bandwidth " << bandwidth;
+    }
 }
 
 } // namespace
