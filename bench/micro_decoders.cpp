@@ -285,9 +285,9 @@ BENCHMARK(BM_SpacetimeMwpmWindow)->Arg(5)->Arg(9)->Arg(11);
 /**
  * The perf-gate pair: single-shot spacetime decodes (a fresh window
  * per slot, varied inputs) through the fast path — distance oracle +
- * sparse candidates + pooled per-instance scratch, the production
- * default — against the legacy per-defect Dijkstra + complete-graph
- * configuration (bit-exact results, tests/test_fastpath.cpp). The
+ * pooled per-instance scratch, the production default — against the
+ * legacy per-defect Dijkstra configuration; both solve the same
+ * pruned candidate graph (bit-exact results, tests/test_fastpath.cpp). The
  * acceptance bar is >= 3x at d >= 11; see the archived
  * BENCH_decoders.json for the measured trajectory.
  */

@@ -331,6 +331,18 @@ CHAOS_D5+=";corrupt:0.04;surge:300:60:2:1"
 echo "fabric-chaos-d5 deep-audit run OK"
 
 echo
+echo "== nested blossoms: the benchmark's stream-d21 spec under deep audits =="
+# The gated stream-quick runs at d=5; d=21 windows (about 27 defects)
+# are where the matcher nests and expands blossoms. Under deep audits
+# every solve checks its optimality certificate (complementary
+# slackness) and every window re-proves the conservation ledger; the
+# run must complete (exit 0).
+./build-release/btwc_run "kind=stream,d=21,p=1e-3,window=21,overlap=7,cycles=2000" \
+    --threads 1 --audit deep --json build-release/BENCH_stream_d21.json \
+    > /dev/null
+echo "stream-d21 deep-audit run OK"
+
+echo
 echo "== micro benchmarks: micro_decoders -> BENCH_decoders.json =="
 # Matcher/decoder microbenchmarks join the perf trajectory next to the
 # scenario Report. --benchmark_min_time is pinned so archived numbers

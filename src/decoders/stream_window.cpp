@@ -359,6 +359,13 @@ StreamWindowDecoder::decode_window(int avail, int commit)
         }
     }
     std::swap(carried_, carried_next_);
+    // The buffers trade places every window, so keep their capacities
+    // equal: otherwise a peak reached on one parity does not cover the
+    // other, and a later peak there reallocates in steady state.
+    const size_t carry_capacity =
+        std::max(carried_.capacity(), carried_next_.capacity());
+    carried_.reserve(carry_capacity);
+    carried_next_.reserve(carry_capacity);
     stats_.defects_carried += carried_.size();
     stats_.max_carried =
         std::max(stats_.max_carried, static_cast<uint64_t>(carried_.size()));

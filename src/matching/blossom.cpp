@@ -6,10 +6,6 @@
 
 namespace btwc {
 
-namespace {
-constexpr int64_t kInf = int64_t(1) << 62;
-}
-
 MaxWeightMatching::MaxWeightMatching(int n)
 {
     reset(n);
@@ -20,432 +16,694 @@ MaxWeightMatching::reset(int n)
 {
     BTWC_CHECK(n >= 0);
     n_ = n;
-    n_x_ = n;
-    const int size = 2 * n_ + 1;
-    if (capacity_ < size) {
-        // Grow path (rare): allocate and fully initialize. Edge
-        // endpoints are slot invariants, so later resets only need to
-        // clear weights.
-        capacity_ = size;
-        g_.assign(size, std::vector<Edge>(size));
-        for (int u = 0; u < size; ++u) {
-            for (int v = 0; v < size; ++v) {
-                g_[u][v] = Edge{u, v, 0};
-            }
-        }
-        lab_.assign(size, 0);
-        match_.assign(size, 0);
-        slack_.assign(size, 0);
-        st_.assign(size, 0);
-        pa_.assign(size, 0);
-        s_.assign(size, -1);
-        vis_.assign(size, 0);
-        visit_stamp_ = 0;
-        flower_.assign(size, {});
-        // Rows sized for the largest n this capacity can host, so a
-        // smaller later instance never outgrows them.
-        flower_from_.assign(size, std::vector<int>(n_ + 1, 0));
-        if (audit_deep()) {
-            audit_slots(true);
-        }
+    endpoint_.clear();
+    weight_.clear();
+    blossoms_formed_ = 0;
+    nested_blossoms_ = 0;
+    t_expansions_ = 0;
+    s_expansions_ = 0;
+}
+
+void
+MaxWeightMatching::add_edge(int u, int v, int64_t w)
+{
+    BTWC_AUDIT(u != v && u >= 0 && v >= 0 && u < n_ && v < n_);
+    endpoint_.push_back(u);
+    endpoint_.push_back(v);
+    weight_.push_back(w);
+}
+
+template <class F>
+void
+MaxWeightMatching::for_each_leaf(int b, F &f) const
+{
+    if (b < n_) {
+        f(b);
         return;
     }
-    // Reuse path: restore the canonical slot state `Edge{u, v, 0}`
-    // over the region this instance uses. Clearing the weight alone is
-    // not enough — `add_blossom` copies edges into blossom-slot rows
-    // (overwriting their endpoint fields), and a slot that served as a
-    // blossom for one instance can be a real vertex for the next.
-    // Entries beyond `size` from a larger earlier instance are never
-    // read (every loop is bounded by n_ / n_x_ <= 2n+1), and solve()
-    // reinitializes all per-run state over the full capacity.
-    for (int u = 0; u < size; ++u) {
-        Edge *row = g_[u].data();
-        for (int v = 0; v < size; ++v) {
-            row[v] = Edge{u, v, 0};
-        }
-    }
-    // The visit stamp must restart with its array: a persistent pooled
-    // matcher would otherwise march the int stamp toward overflow over
-    // millions of decodes (fresh instances restarted it implicitly).
-    visit_stamp_ = 0;
-    std::fill(vis_.begin(), vis_.end(), 0);
-    if (audit_deep()) {
-        audit_slots(true);
-    }
-}
-
-void
-MaxWeightMatching::audit_slots(bool expect_cleared) const
-{
-    const int size = 2 * n_ + 1;
-    BTWC_CHECK_MSG(capacity_ >= size &&
-                       static_cast<int>(g_.size()) >= size,
-                   "matcher capacity covers the active instance");
-    for (int u = 0; u < size; ++u) {
-        const Edge *row = g_[u].data();
-        for (int v = 0; v < size; ++v) {
-            BTWC_CHECK_MSG(row[v].u == u && row[v].v == v,
-                           "blossom slot endpoints must be canonical "
-                           "after reset");
-            if (expect_cleared) {
-                BTWC_CHECK_MSG(row[v].w == 0,
-                               "reset must clear every edge weight");
-            }
-        }
-    }
-}
-
-void
-MaxWeightMatching::set_weight(int u, int v, int64_t w)
-{
-    BTWC_AUDIT(u != v && u >= 0 && v >= 0 && u < n_ && v < n_ &&
-               w >= 0);
-    g_[u + 1][v + 1].w = w;
-    g_[v + 1][u + 1].w = w;
-}
-
-int64_t
-MaxWeightMatching::edge_delta(const Edge &e) const
-{
-    return lab_[e.u] + lab_[e.v] - g_[e.u][e.v].w * 2;
-}
-
-void
-MaxWeightMatching::update_slack(int u, int x)
-{
-    if (!slack_[x] || edge_delta(g_[u][x]) < edge_delta(g_[slack_[x]][x])) {
-        slack_[x] = u;
-    }
-}
-
-void
-MaxWeightMatching::set_slack(int x)
-{
-    slack_[x] = 0;
-    for (int u = 1; u <= n_; ++u) {
-        if (g_[u][x].w > 0 && st_[u] != x && s_[st_[u]] == 0) {
-            update_slack(u, x);
-        }
-    }
-}
-
-void
-MaxWeightMatching::queue_push(int x)
-{
-    if (x <= n_) {
-        queue_.push_back(x);
-        return;
-    }
-    for (const int sub : flower_[x]) {
-        queue_push(sub);
-    }
-}
-
-void
-MaxWeightMatching::set_st(int x, int b)
-{
-    st_[x] = b;
-    if (x <= n_) {
-        return;
-    }
-    for (const int sub : flower_[x]) {
-        set_st(sub, b);
+    for (const int t : blossom_childs_[b]) {
+        for_each_leaf(t, f);
     }
 }
 
 int
-MaxWeightMatching::get_pr(int b, int xr)
+MaxWeightMatching::first_labeled_leaf(int b) const
 {
-    auto &f = flower_[b];
-    const int pr = static_cast<int>(
-        std::find(f.begin(), f.end(), xr) - f.begin());
-    if (pr % 2 == 1) {
-        // Walk the cycle the other way so the path to xr is even.
-        std::reverse(f.begin() + 1, f.end());
-        return static_cast<int>(f.size()) - pr;
+    if (b < n_) {
+        return label_[b] != 0 ? b : -1;
     }
-    return pr;
+    for (const int t : blossom_childs_[b]) {
+        const int v = first_labeled_leaf(t);
+        if (v >= 0) {
+            return v;
+        }
+    }
+    return -1;
 }
 
 void
-MaxWeightMatching::set_match(int u, int v)
+MaxWeightMatching::build_adjacency()
 {
-    match_[u] = g_[u][v].v;
-    if (u <= n_) {
-        return;
+    // Counting sort of endpoints by vertex, stable in edge order:
+    // vertex endpoint_[p] lists the remote endpoint p ^ 1.
+    adj_begin_.assign(static_cast<size_t>(n_) + 1, 0);
+    for (const int v : endpoint_) {
+        ++adj_begin_[static_cast<size_t>(v) + 1];
     }
-    const Edge e = g_[u][v];
-    const int xr = flower_from_[u][e.u];
-    const int pr = get_pr(u, xr);
-    for (int i = 0; i < pr; ++i) {
-        set_match(flower_[u][i], flower_[u][i ^ 1]);
+    for (int v = 0; v < n_; ++v) {
+        adj_begin_[v + 1] += adj_begin_[v];
     }
-    set_match(xr, v);
-    std::rotate(flower_[u].begin(), flower_[u].begin() + pr,
-                flower_[u].end());
+    adj_.resize(endpoint_.size());
+    for (size_t p = 0; p < endpoint_.size(); ++p) {
+        adj_[adj_begin_[endpoint_[p]]++] = static_cast<int>(p ^ 1);
+    }
+    for (int v = n_; v > 0; --v) {
+        adj_begin_[v] = adj_begin_[v - 1];
+    }
+    adj_begin_[0] = 0;
 }
 
 void
-MaxWeightMatching::augment(int u, int v)
+MaxWeightMatching::assign_label(int w, int t, int p)
 {
+    // Label the top-level blossom of w with t through endpoint p; a T
+    // label propagates an S label to the mate of the blossom's base.
     for (;;) {
-        const int xnv = st_[match_[u]];
-        set_match(u, v);
-        if (!xnv) {
+        const int b = in_blossom_[w];
+        BTWC_DCHECK(label_[w] == 0 && label_[b] == 0);
+        label_[w] = label_[b] = t;
+        label_end_[w] = label_end_[b] = p;
+        best_edge_[w] = best_edge_[b] = -1;
+        if (t == 1) {
+            auto push = [this](int v) { queue_.push_back(v); };
+            for_each_leaf(b, push);
             return;
         }
-        set_match(xnv, st_[pa_[xnv]]);
-        u = st_[pa_[xnv]];
-        v = xnv;
+        const int mate_end = mate_[blossom_base_[b]];
+        BTWC_DCHECK(mate_end >= 0);
+        w = endpoint_[mate_end];
+        t = 1;
+        p = mate_end ^ 1;
     }
 }
 
 int
-MaxWeightMatching::get_lca(int u, int v)
+MaxWeightMatching::scan_blossom(int v, int w)
 {
-    ++visit_stamp_;
-    while (u || v) {
-        if (u != 0) {
-            if (vis_[u] == visit_stamp_) {
-                return u;
-            }
-            vis_[u] = visit_stamp_;
-            u = st_[match_[u]];
-            if (u) {
-                u = st_[pa_[u]];
-            }
+    // Trace back from v and w alternately towards the tree roots; the
+    // first blossom reached twice is the base of a new blossom. None
+    // means the two roots differ: an augmenting path.
+    scan_path_.clear();
+    int base = -1;
+    while (v != -1 || w != -1) {
+        int b = in_blossom_[v];
+        if (label_[b] & 4) {
+            base = blossom_base_[b];
+            break;
         }
-        std::swap(u, v);
+        BTWC_DCHECK(label_[b] == 1);
+        scan_path_.push_back(b);
+        label_[b] = 5;
+        if (label_end_[b] == -1) {
+            v = -1;  // reached a root
+        } else {
+            v = endpoint_[label_end_[b]];
+            b = in_blossom_[v];
+            BTWC_DCHECK(label_[b] == 2);
+            v = endpoint_[label_end_[b]];
+        }
+        if (w != -1) {
+            std::swap(v, w);
+        }
     }
-    return 0;
+    for (const int b : scan_path_) {
+        label_[b] = 1;
+    }
+    return base;
 }
 
 void
-MaxWeightMatching::add_blossom(int u, int lca, int v)
+MaxWeightMatching::consider_best_edge(int b, int k)
 {
-    int b = n_ + 1;
-    while (b <= n_x_ && st_[b]) {
-        ++b;
+    int j = endpoint_[2 * k + 1];
+    if (in_blossom_[j] == b) {
+        j = endpoint_[2 * k];
     }
-    if (b > n_x_) {
-        ++n_x_;
+    const int bj = in_blossom_[j];
+    if (bj != b && label_[bj] == 1 &&
+        (best_edge_to_[bj] == -1 || slack(k) < slack(best_edge_to_[bj]))) {
+        best_edge_to_[bj] = k;
     }
-    lab_[b] = 0;
-    s_[b] = 0;
-    match_[b] = match_[lca];
-    flower_[b].clear();
-    flower_[b].push_back(lca);
-    for (int x = u, y; x != lca; x = st_[pa_[y]]) {
-        flower_[b].push_back(x);
-        flower_[b].push_back(y = st_[match_[x]]);
-        queue_push(y);
-    }
-    std::reverse(flower_[b].begin() + 1, flower_[b].end());
-    for (int x = v, y; x != lca; x = st_[pa_[y]]) {
-        flower_[b].push_back(x);
-        flower_[b].push_back(y = st_[match_[x]]);
-        queue_push(y);
-    }
-    set_st(b, b);
-    for (int x = 1; x <= n_x_; ++x) {
-        g_[b][x].w = 0;
-        g_[x][b].w = 0;
-    }
-    for (int x = 1; x <= n_; ++x) {
-        flower_from_[b][x] = 0;
-    }
-    for (const int xs : flower_[b]) {
-        for (int x = 1; x <= n_x_; ++x) {
-            if (g_[xs][x].w > 0 &&
-                (g_[b][x].w == 0 ||
-                 edge_delta(g_[xs][x]) < edge_delta(g_[b][x]))) {
-                g_[b][x] = g_[xs][x];
-                g_[x][b] = g_[x][xs];
-            }
-        }
-        for (int x = 1; x <= n_; ++x) {
-            if (flower_from_[xs][x]) {
-                flower_from_[b][x] = xs;
-            }
-        }
-    }
-    set_slack(b);
 }
 
 void
-MaxWeightMatching::expand_blossom(int b)
+MaxWeightMatching::add_blossom(int base, int k)
 {
-    for (const int sub : flower_[b]) {
-        set_st(sub, sub);
+    // Shrink the odd cycle closed by edge k through `base` into a new
+    // S-blossom b.
+    int v = endpoint_[2 * k];
+    int w = endpoint_[2 * k + 1];
+    const int bb = in_blossom_[base];
+    int bv = in_blossom_[v];
+    int bw = in_blossom_[w];
+    const int b = unused_blossoms_.back();
+    unused_blossoms_.pop_back();
+    ++blossoms_formed_;
+    blossom_base_[b] = base;
+    blossom_parent_[b] = -1;
+    blossom_parent_[bb] = b;
+    std::vector<int> &path = blossom_childs_[b];
+    std::vector<int> &endps = blossom_endps_[b];
+    path.clear();
+    endps.clear();
+    while (bv != bb) {
+        blossom_parent_[bv] = b;
+        path.push_back(bv);
+        endps.push_back(label_end_[bv]);
+        v = endpoint_[label_end_[bv]];
+        bv = in_blossom_[v];
     }
-    const int xr = flower_from_[b][g_[b][pa_[b]].u];
-    const int pr = get_pr(b, xr);
-    for (int i = 0; i < pr; i += 2) {
-        const int xs = flower_[b][i];
-        const int xns = flower_[b][i + 1];
-        pa_[xs] = g_[xns][xs].u;
-        s_[xs] = 1;
-        s_[xns] = 0;
-        slack_[xs] = 0;
-        set_slack(xns);
-        queue_push(xns);
+    path.push_back(bb);
+    std::reverse(path.begin(), path.end());
+    std::reverse(endps.begin(), endps.end());
+    endps.push_back(2 * k);
+    while (bw != bb) {
+        blossom_parent_[bw] = b;
+        path.push_back(bw);
+        endps.push_back(label_end_[bw] ^ 1);
+        w = endpoint_[label_end_[bw]];
+        bw = in_blossom_[w];
     }
-    s_[xr] = 1;
-    pa_[xr] = pa_[b];
-    for (size_t i = static_cast<size_t>(pr) + 1; i < flower_[b].size();
-         ++i) {
-        const int xs = flower_[b][i];
-        s_[xs] = -1;
-        set_slack(xs);
+    BTWC_DCHECK(label_[bb] == 1);
+    label_[b] = 1;
+    label_end_[b] = label_end_[bb];
+    dual_[b] = 0;
+    // Former T-vertices become S-vertices: scan them.
+    auto relabel = [this, b](int leaf) {
+        if (label_[in_blossom_[leaf]] == 2) {
+            queue_.push_back(leaf);
+        }
+        in_blossom_[leaf] = b;
+    };
+    for_each_leaf(b, relabel);
+
+    // Merge the children's least-slack edges into one per neighbouring
+    // S-blossom.
+    std::fill(best_edge_to_.begin(), best_edge_to_.begin() + 2 * n_, -1);
+    for (const int child : path) {
+        if (child >= n_) {
+            ++nested_blossoms_;
+        }
+        if (has_blossom_best_[child]) {
+            for (const int e : blossom_best_[child]) {
+                consider_best_edge(b, e);
+            }
+        } else {
+            auto scan = [this, b](int leaf) {
+                for (int i = adj_begin_[leaf]; i < adj_begin_[leaf + 1];
+                     ++i) {
+                    consider_best_edge(b, adj_[i] >> 1);
+                }
+            };
+            for_each_leaf(child, scan);
+        }
+        has_blossom_best_[child] = 0;
+        best_edge_[child] = -1;
     }
-    st_[b] = 0;
+    std::vector<int> &best = blossom_best_[b];
+    best.clear();
+    for (int i = 0; i < 2 * n_; ++i) {
+        if (best_edge_to_[i] != -1) {
+            best.push_back(best_edge_to_[i]);
+        }
+    }
+    has_blossom_best_[b] = 1;
+    best_edge_[b] = -1;
+    for (const int e : best) {
+        if (best_edge_[b] == -1 || slack(e) < slack(best_edge_[b])) {
+            best_edge_[b] = e;
+        }
+    }
 }
 
-bool
-MaxWeightMatching::on_found_edge(const Edge &e)
+void
+MaxWeightMatching::expand_blossom(int b, bool end_stage)
 {
-    const int u = st_[e.u];
-    const int v = st_[e.v];
-    if (s_[v] == -1) {
-        // Grow: attach the free matched pair (v, match(v)) to the tree.
-        pa_[v] = e.u;
-        s_[v] = 1;
-        const int nu = st_[match_[v]];
-        slack_[v] = 0;
-        slack_[nu] = 0;
-        s_[nu] = 0;
-        queue_push(nu);
-    } else if (s_[v] == 0) {
-        const int lca = get_lca(u, v);
-        if (!lca) {
-            augment(u, v);
-            augment(v, u);
-            return true;
-        }
-        add_blossom(u, lca, v);
+    // Turn the children of b into top-level blossoms; at the end of a
+    // stage, zero-dual S-children recursively too.
+    if (end_stage) {
+        ++s_expansions_;
     }
-    return false;
-}
-
-bool
-MaxWeightMatching::matching_phase()
-{
-    std::fill(s_.begin(), s_.end(), -1);
-    std::fill(slack_.begin(), slack_.end(), 0);
-    queue_.clear();
-    queue_head_ = 0;
-    for (int x = 1; x <= n_x_; ++x) {
-        if (st_[x] == x && !match_[x]) {
-            pa_[x] = 0;
-            s_[x] = 0;
-            queue_push(x);
+    for (const int s : blossom_childs_[b]) {
+        blossom_parent_[s] = -1;
+        if (s < n_) {
+            in_blossom_[s] = s;
+        } else if (end_stage && dual_[s] == 0) {
+            expand_blossom(s, end_stage);
+        } else {
+            auto own = [this, s](int leaf) { in_blossom_[leaf] = s; };
+            for_each_leaf(s, own);
         }
     }
-    if (queue_.empty()) {
-        return false;
-    }
-    for (;;) {
-        while (queue_head_ < queue_.size()) {
-            const int u = queue_[queue_head_++];
-            if (s_[st_[u]] == 1) {
+    if (!end_stage && label_[b] == 2) {
+        // A T-blossom mid-stage: relabel the even-length path from the
+        // entry child to the base so the alternating tree stays valid.
+        ++t_expansions_;
+        const std::vector<int> &childs = blossom_childs_[b];
+        const std::vector<int> &endps = blossom_endps_[b];
+        const size_t len = childs.size();
+        const int entry_child = in_blossom_[endpoint_[label_end_[b] ^ 1]];
+        int j = static_cast<int>(
+            std::find(childs.begin(), childs.end(), entry_child) -
+            childs.begin());
+        int jstep;
+        int endptrick;
+        if (j & 1) {
+            j -= static_cast<int>(len);
+            jstep = 1;
+            endptrick = 0;
+        } else {
+            jstep = -1;
+            endptrick = 1;
+        }
+        int p = label_end_[b];
+        while (j != 0) {
+            label_[endpoint_[p ^ 1]] = 0;
+            label_[endpoint_[endps[wrap(j - endptrick, len)] ^ endptrick ^
+                             1]] = 0;
+            assign_label(endpoint_[p ^ 1], 2, p);
+            allow_edge_[endps[wrap(j - endptrick, len)] >> 1] = 1;
+            j += jstep;
+            p = endps[wrap(j - endptrick, len)] ^ endptrick;
+            allow_edge_[p >> 1] = 1;
+            j += jstep;
+        }
+        // The child at j == 0 (the base) takes b's T label.
+        int bv = childs[wrap(j, len)];
+        label_[endpoint_[p ^ 1]] = label_[bv] = 2;
+        label_end_[endpoint_[p ^ 1]] = label_end_[bv] = p;
+        best_edge_[bv] = -1;
+        j += jstep;
+        // Children off that path lose their labels unless a vertex in
+        // them was reached from outside, which re-labels it T.
+        while (childs[wrap(j, len)] != entry_child) {
+            bv = childs[wrap(j, len)];
+            if (label_[bv] == 1) {
+                j += jstep;
                 continue;
             }
-            for (int v = 1; v <= n_; ++v) {
-                if (g_[u][v].w > 0 && st_[u] != st_[v]) {
-                    if (edge_delta(g_[u][v]) == 0) {
-                        if (on_found_edge(g_[u][v])) {
+            const int v = first_labeled_leaf(bv);
+            if (v >= 0) {
+                BTWC_DCHECK(label_[v] == 2 && in_blossom_[v] == bv);
+                label_[v] = 0;
+                label_[endpoint_[mate_[blossom_base_[bv]]]] = 0;
+                assign_label(v, 2, label_end_[v]);
+            }
+            j += jstep;
+        }
+    }
+    label_[b] = label_end_[b] = -1;
+    blossom_childs_[b].clear();
+    blossom_endps_[b].clear();
+    blossom_base_[b] = -1;
+    blossom_best_[b].clear();
+    has_blossom_best_[b] = 0;
+    best_edge_[b] = -1;
+    unused_blossoms_.push_back(b);
+}
+
+void
+MaxWeightMatching::augment_blossom(int b, int v)
+{
+    // Swap matched/unmatched edges along the even path from vertex v's
+    // child to the base of b, then rotate v's child to the base slot.
+    int t = v;
+    while (blossom_parent_[t] != b) {
+        t = blossom_parent_[t];
+    }
+    if (t >= n_) {
+        augment_blossom(t, v);
+    }
+    std::vector<int> &childs = blossom_childs_[b];
+    std::vector<int> &endps = blossom_endps_[b];
+    const size_t len = childs.size();
+    const int i = static_cast<int>(
+        std::find(childs.begin(), childs.end(), t) - childs.begin());
+    int j = i;
+    int jstep;
+    int endptrick;
+    if (i & 1) {
+        j -= static_cast<int>(len);
+        jstep = 1;
+        endptrick = 0;
+    } else {
+        jstep = -1;
+        endptrick = 1;
+    }
+    while (j != 0) {
+        j += jstep;
+        t = childs[wrap(j, len)];
+        const int p = endps[wrap(j - endptrick, len)] ^ endptrick;
+        if (t >= n_) {
+            augment_blossom(t, endpoint_[p]);
+        }
+        j += jstep;
+        t = childs[wrap(j, len)];
+        if (t >= n_) {
+            augment_blossom(t, endpoint_[p ^ 1]);
+        }
+        mate_[endpoint_[p]] = p ^ 1;
+        mate_[endpoint_[p ^ 1]] = p;
+    }
+    std::rotate(childs.begin(), childs.begin() + i, childs.end());
+    std::rotate(endps.begin(), endps.begin() + i, endps.end());
+    blossom_base_[b] = blossom_base_[childs[0]];
+    BTWC_DCHECK(blossom_base_[b] == v);
+}
+
+void
+MaxWeightMatching::augment_matching(int k)
+{
+    // Flip the augmenting path through edge k back to both roots.
+    const int ends[2] = {endpoint_[2 * k], endpoint_[2 * k + 1]};
+    const int remote[2] = {2 * k + 1, 2 * k};
+    for (int side = 0; side < 2; ++side) {
+        int s = ends[side];
+        int p = remote[side];
+        for (;;) {
+            const int bs = in_blossom_[s];
+            BTWC_DCHECK(label_[bs] == 1);
+            if (bs >= n_) {
+                augment_blossom(bs, s);
+            }
+            mate_[s] = p;
+            if (label_end_[bs] == -1) {
+                break;  // reached the root
+            }
+            const int t = endpoint_[label_end_[bs]];
+            const int bt = in_blossom_[t];
+            BTWC_DCHECK(label_[bt] == 2);
+            s = endpoint_[label_end_[bt]];
+            const int j = endpoint_[label_end_[bt] ^ 1];
+            if (bt >= n_) {
+                augment_blossom(bt, j);
+            }
+            mate_[j] = label_end_[bt];
+            p = label_end_[bt] ^ 1;
+        }
+    }
+}
+
+bool
+MaxWeightMatching::run_stage()
+{
+    // One stage: grow alternating trees from every exposed vertex
+    // until an augmenting path is found (true) or none exists (false).
+    const int n2 = 2 * n_;
+    std::fill(label_.begin(), label_.begin() + n2, 0);
+    std::fill(best_edge_.begin(), best_edge_.begin() + n2, -1);
+    for (int b = n_; b < n2; ++b) {
+        blossom_best_[b].clear();
+        has_blossom_best_[b] = 0;
+    }
+    std::fill(allow_edge_.begin(), allow_edge_.end(), 0);
+    queue_.clear();
+    for (int v = 0; v < n_; ++v) {
+        if (mate_[v] == -1 && label_[in_blossom_[v]] == 0) {
+            assign_label(v, 1, -1);
+        }
+    }
+    for (;;) {
+        while (!queue_.empty()) {
+            const int v = queue_.back();
+            queue_.pop_back();
+            BTWC_DCHECK(label_[in_blossom_[v]] == 1);
+            for (int i = adj_begin_[v]; i < adj_begin_[v + 1]; ++i) {
+                const int p = adj_[i];
+                const int k = p >> 1;
+                const int w = endpoint_[p];
+                if (in_blossom_[v] == in_blossom_[w]) {
+                    continue;  // internal to a blossom
+                }
+                int64_t kslack = 0;
+                if (!allow_edge_[k]) {
+                    kslack = slack(k);
+                    if (kslack <= 0) {
+                        allow_edge_[k] = 1;
+                    }
+                }
+                if (allow_edge_[k]) {
+                    if (label_[in_blossom_[w]] == 0) {
+                        assign_label(w, 2, p ^ 1);  // grow
+                    } else if (label_[in_blossom_[w]] == 1) {
+                        const int base = scan_blossom(v, w);
+                        if (base >= 0) {
+                            add_blossom(base, k);
+                        } else {
+                            augment_matching(k);
                             return true;
                         }
-                    } else {
-                        update_slack(u, st_[v]);
+                    } else if (label_[w] == 0) {
+                        // w is inside a T-blossom but not yet reached.
+                        BTWC_DCHECK(label_[in_blossom_[w]] == 2);
+                        label_[w] = 2;
+                        label_end_[w] = p ^ 1;
+                    }
+                } else if (label_[in_blossom_[w]] == 1) {
+                    const int b = in_blossom_[v];
+                    if (best_edge_[b] == -1 || kslack < slack(best_edge_[b])) {
+                        best_edge_[b] = k;
+                    }
+                } else if (label_[w] == 0) {
+                    if (best_edge_[w] == -1 || kslack < slack(best_edge_[w])) {
+                        best_edge_[w] = k;
                     }
                 }
             }
         }
-        int64_t d = kInf;
-        for (int b = n_ + 1; b <= n_x_; ++b) {
-            if (st_[b] == b && s_[b] == 1) {
-                d = std::min(d, lab_[b] / 2);
-            }
-        }
-        for (int x = 1; x <= n_x_; ++x) {
-            if (st_[x] == x && slack_[x]) {
-                if (s_[x] == -1) {
-                    d = std::min(d, edge_delta(g_[slack_[x]][x]));
-                } else if (s_[x] == 0) {
-                    d = std::min(d, edge_delta(g_[slack_[x]][x]) / 2);
+
+        // No tight edge left to follow: pick the dual step.
+        int delta_type = -1;
+        int64_t delta = 0;
+        int delta_edge = -1;
+        int delta_blossom = -1;
+        for (int v = 0; v < n_; ++v) {
+            if (label_[in_blossom_[v]] == 0 && best_edge_[v] != -1) {
+                const int64_t d = slack(best_edge_[v]);
+                if (delta_type == -1 || d < delta) {
+                    delta = d;
+                    delta_type = 2;
+                    delta_edge = best_edge_[v];
                 }
             }
         }
-        for (int u = 1; u <= n_; ++u) {
-            if (s_[st_[u]] == 0) {
-                if (lab_[u] <= d) {
-                    return false;
-                }
-                lab_[u] -= d;
-            } else if (s_[st_[u]] == 1) {
-                lab_[u] += d;
-            }
-        }
-        for (int b = n_ + 1; b <= n_x_; ++b) {
-            if (st_[b] == b) {
-                if (s_[b] == 0) {
-                    lab_[b] += d * 2;
-                } else if (s_[b] == 1) {
-                    lab_[b] -= d * 2;
+        for (int b = 0; b < n2; ++b) {
+            if (blossom_parent_[b] == -1 && label_[b] == 1 &&
+                best_edge_[b] != -1) {
+                const int64_t kslack = slack(best_edge_[b]);
+                BTWC_DCHECK(kslack % 2 == 0);
+                const int64_t d = kslack / 2;
+                if (delta_type == -1 || d < delta) {
+                    delta = d;
+                    delta_type = 3;
+                    delta_edge = best_edge_[b];
                 }
             }
         }
-        queue_.clear();
-        queue_head_ = 0;
-        for (int x = 1; x <= n_x_; ++x) {
-            if (st_[x] == x && slack_[x] && st_[slack_[x]] != x &&
-                edge_delta(g_[slack_[x]][x]) == 0) {
-                if (on_found_edge(g_[slack_[x]][x])) {
-                    return true;
+        for (int b = n_; b < n2; ++b) {
+            if (blossom_base_[b] >= 0 && blossom_parent_[b] == -1 &&
+                label_[b] == 2 && (delta_type == -1 || dual_[b] < delta)) {
+                delta = dual_[b];
+                delta_type = 4;
+                delta_blossom = b;
+            }
+        }
+        if (delta_type == -1) {
+            // Maximum cardinality reached. A last step makes the
+            // optimum verifiable (audit_optimum).
+            delta_type = 1;
+            delta = std::max<int64_t>(
+                0, *std::min_element(dual_.begin(), dual_.begin() + n_));
+        }
+
+        for (int v = 0; v < n_; ++v) {
+            const int l = label_[in_blossom_[v]];
+            if (l == 1) {
+                dual_[v] -= delta;
+            } else if (l == 2) {
+                dual_[v] += delta;
+            }
+        }
+        for (int b = n_; b < n2; ++b) {
+            if (blossom_base_[b] >= 0 && blossom_parent_[b] == -1) {
+                if (label_[b] == 1) {
+                    dual_[b] += delta;
+                } else if (label_[b] == 2) {
+                    dual_[b] -= delta;
                 }
             }
         }
-        for (int b = n_ + 1; b <= n_x_; ++b) {
-            if (st_[b] == b && s_[b] == 1 && lab_[b] == 0) {
-                expand_blossom(b);
+
+        if (delta_type == 1) {
+            return false;
+        }
+        if (delta_type == 2) {
+            allow_edge_[delta_edge] = 1;
+            int i = endpoint_[2 * delta_edge];
+            if (label_[in_blossom_[i]] == 0) {
+                i = endpoint_[2 * delta_edge + 1];
             }
+            queue_.push_back(i);
+        } else if (delta_type == 3) {
+            allow_edge_[delta_edge] = 1;
+            queue_.push_back(endpoint_[2 * delta_edge]);
+        } else {
+            expand_blossom(delta_blossom, false);
         }
     }
 }
 
-std::vector<int>
+const std::vector<int> &
 MaxWeightMatching::solve()
 {
-    std::fill(match_.begin(), match_.end(), 0);
-    n_x_ = n_;
-    for (int u = 0; u < static_cast<int>(st_.size()); ++u) {
-        st_[u] = u <= n_ ? u : 0;
-        flower_[u].clear();
+    const size_t n = static_cast<size_t>(n_);
+    const size_t n2 = 2 * n;
+    const size_t m = weight_.size();
+    build_adjacency();
+
+    // Re-arm every per-run array over the active region only.
+    if (blossom_childs_.size() < n2) {
+        blossom_childs_.resize(n2);
+        blossom_endps_.resize(n2);
+        blossom_best_.resize(n2);
     }
-    int64_t w_max = 0;
-    for (int u = 1; u <= n_; ++u) {
-        for (int v = 1; v <= n_; ++v) {
-            flower_from_[u][v] = (u == v ? u : 0);
-            w_max = std::max(w_max, g_[u][v].w);
+    int64_t max_weight = 0;
+    for (const int64_t w : weight_) {
+        max_weight = std::max(max_weight, w);
+    }
+    mate_.assign(n, -1);
+    in_blossom_.resize(n);
+    label_.resize(n2);
+    label_end_.assign(n2, -1);
+    blossom_parent_.assign(n2, -1);
+    blossom_base_.resize(n2);
+    best_edge_.resize(n2);
+    dual_.resize(n2);
+    has_blossom_best_.assign(n2, 0);
+    best_edge_to_.resize(n2);
+    allow_edge_.resize(m);
+    unused_blossoms_.clear();
+    for (int v = 0; v < n_; ++v) {
+        in_blossom_[v] = v;
+        blossom_base_[v] = v;
+        dual_[v] = max_weight;
+    }
+    for (int b = n_; b < 2 * n_; ++b) {
+        blossom_base_[b] = -1;
+        dual_[b] = 0;
+        blossom_childs_[b].clear();
+        blossom_endps_[b].clear();
+        unused_blossoms_.push_back(b);
+    }
+
+    for (int stage = 0; stage < n_; ++stage) {
+        if (!run_stage()) {
+            break;
+        }
+        // End of stage: expand S-blossoms whose dual dropped to zero.
+        for (int b = n_; b < 2 * n_; ++b) {
+            if (blossom_parent_[b] == -1 && blossom_base_[b] >= 0 &&
+                label_[b] == 1 && dual_[b] == 0) {
+                expand_blossom(b, true);
+            }
         }
     }
-    for (int u = 1; u <= n_; ++u) {
-        lab_[u] = w_max;
-    }
-    while (matching_phase()) {
-    }
+
     total_weight_ = 0;
-    for (int u = 1; u <= n_; ++u) {
-        if (match_[u] && match_[u] < u) {
-            total_weight_ += g_[u][match_[u]].w;
+    mate_vertex_.assign(n, -1);
+    for (int v = 0; v < n_; ++v) {
+        if (mate_[v] >= 0) {
+            mate_vertex_[v] = endpoint_[mate_[v]];
+            if (v < mate_vertex_[v]) {
+                total_weight_ += weight_[mate_[v] >> 1];
+            }
         }
     }
-    std::vector<int> mate(n_, -1);
-    for (int u = 1; u <= n_; ++u) {
-        mate[u - 1] = match_[u] ? match_[u] - 1 : -1;
+    if (audit_deep()) {
+        audit_optimum();
     }
-    return mate;
+    return mate_vertex_;
+}
+
+void
+MaxWeightMatching::audit_optimum() const
+{
+    const int m = static_cast<int>(weight_.size());
+    BTWC_CHECK_MSG(static_cast<int>(mate_.size()) == n_ &&
+                       static_cast<int>(mate_vertex_.size()) == n_,
+                   "matcher audit needs a solved instance");
+    const int64_t min_vertex_dual =
+        n_ == 0 ? 0 : *std::min_element(dual_.begin(), dual_.begin() + n_);
+    const int64_t offset = std::max<int64_t>(0, -min_vertex_dual);
+    for (int b = n_; b < 2 * n_; ++b) {
+        BTWC_CHECK_MSG(dual_[b] >= 0, "blossom duals must be non-negative");
+    }
+    for (int v = 0; v < n_; ++v) {
+        const int p = mate_[v];
+        if (p < 0) {
+            BTWC_CHECK_MSG(dual_[v] + offset == 0,
+                           "an exposed vertex must sit at the dual floor");
+            continue;
+        }
+        BTWC_CHECK_MSG(p < 2 * m && mate_[endpoint_[p]] == (p ^ 1) &&
+                           endpoint_[p ^ 1] == v,
+                       "mates must be mutual and lie on an edge");
+    }
+    // Blossoms holding both ends of an edge add 2 * their dual to its
+    // slack; they form a common top part of the two ancestor chains.
+    std::vector<int> chain_u;
+    std::vector<int> chain_v;
+    for (int k = 0; k < m; ++k) {
+        const int u = endpoint_[2 * k];
+        const int v = endpoint_[2 * k + 1];
+        int64_t s = dual_[u] + dual_[v] - 2 * weight_[k];
+        chain_u.assign(1, u);
+        chain_v.assign(1, v);
+        while (blossom_parent_[chain_u.back()] != -1) {
+            chain_u.push_back(blossom_parent_[chain_u.back()]);
+        }
+        while (blossom_parent_[chain_v.back()] != -1) {
+            chain_v.push_back(blossom_parent_[chain_v.back()]);
+        }
+        auto iu = chain_u.rbegin();
+        auto iv = chain_v.rbegin();
+        for (; iu != chain_u.rend() && iv != chain_v.rend() && *iu == *iv;
+             ++iu, ++iv) {
+            s += 2 * dual_[*iu];
+        }
+        BTWC_CHECK_MSG(s >= 0, "every edge slack must be non-negative");
+        const bool matched_u = mate_[u] >= 0 && (mate_[u] >> 1) == k;
+        const bool matched_v = mate_[v] >= 0 && (mate_[v] >> 1) == k;
+        if (matched_u || matched_v) {
+            BTWC_CHECK_MSG(matched_u && matched_v,
+                           "a matched edge must be matched at both ends");
+            BTWC_CHECK_MSG(s == 0, "every matched edge must be tight");
+        }
+    }
+    for (int b = n_; b < 2 * n_; ++b) {
+        if (blossom_base_[b] < 0 || dual_[b] <= 0) {
+            continue;
+        }
+        const std::vector<int> &endps = blossom_endps_[b];
+        BTWC_CHECK_MSG(endps.size() % 2 == 1,
+                       "a blossom is an odd cycle");
+        for (size_t i = 1; i < endps.size(); i += 2) {
+            const int p = endps[i];
+            BTWC_CHECK_MSG(mate_[endpoint_[p]] == (p ^ 1) &&
+                               mate_[endpoint_[p ^ 1]] == p,
+                           "a blossom with a positive dual must be full");
+        }
+    }
 }
 
 std::vector<int>
@@ -456,20 +714,18 @@ min_weight_perfect_matching(int n,
     if (n == 0) {
         return {};
     }
-    int64_t total = 0;
+    int64_t max_w = 0;
     for (int u = 0; u < n; ++u) {
         for (int v = u + 1; v < n; ++v) {
-            if (weights[u][v] >= 0) {
-                total += weights[u][v];
-            }
+            max_w = std::max(max_w, weights[u][v]);
         }
     }
-    const int64_t big = total + 1;
+    const int64_t c = max_w + 1;
     MaxWeightMatching solver(n);
     for (int u = 0; u < n; ++u) {
         for (int v = u + 1; v < n; ++v) {
             if (weights[u][v] >= 0) {
-                solver.set_weight(u, v, big - weights[u][v]);
+                solver.add_edge(u, v, c - weights[u][v]);
             }
         }
     }

@@ -7,19 +7,31 @@
 namespace btwc {
 
 /**
- * Maximum-weight matching in a general graph, O(V^3).
+ * Maximum-weight maximum-cardinality matching on an edge list.
  *
- * Classic primal-dual weighted blossom algorithm (Galil's exposition):
- * dual variables on vertices and (shrunken) odd cycles, alternating
- * trees grown over tight edges, with grow / augment / shrink / expand
- * phases. Weights are non-negative integers; a zero weight means "no
- * edge". The implementation doubles all weights internally so that all
- * dual variables stay integral.
+ * Primal-dual weighted blossom algorithm in Galil's exposition, laid
+ * out as in Van Rantwijk's `mwmatching`: dual variables on vertices
+ * and (shrunken) odd cycles, alternating trees grown over tight edges,
+ * with grow / augment / shrink / expand steps and per-blossom lists of
+ * least-slack edges to neighbouring S-blossoms. Among all matchings of
+ * maximum cardinality it returns one of maximum total weight, so on a
+ * graph with a perfect matching the result is perfect. Integer weights
+ * keep every dual integral. Each of the at most n/2 + 1 stages costs
+ * O(n^2 + m) in the worst case, with m the edge count; on the sparse
+ * candidate graphs `MwpmDecoder` builds (m ~ 5 n at d = 21) that is far
+ * below the O(n^3) a dense solver pays regardless of m.
+ *
+ * Data layout: edges are kept in insertion order; `solve()` builds a
+ * CSR adjacency (each vertex lists its edges in insertion order, which
+ * fixes tie selection), and every per-vertex, per-blossom and per-edge
+ * array is pooled. `reset(n)` plus `solve()` re-arm in O(n + m): the
+ * grown capacity of a larger earlier instance is never touched.
  *
  * This is the engine behind the paper's off-chip Minimum Weight
  * Perfect Matching decoder [19]; `min_weight_perfect_matching` below
  * performs the standard reduction. Correctness is property-tested
- * against the brute-force oracle in `matching/exact.hpp`.
+ * against the brute-force oracle in `matching/exact.hpp` and against a
+ * dense O(V^3) reference solver kept under tests/.
  */
 class MaxWeightMatching
 {
@@ -27,78 +39,114 @@ class MaxWeightMatching
     /** Create an empty solver; call `reset(n)` before use. */
     MaxWeightMatching() = default;
 
-    /** Create an empty graph on n vertices (0-indexed externally). */
+    /** Create an edgeless graph on n vertices. */
     explicit MaxWeightMatching(int n);
 
     /**
-     * Re-arm the solver for a fresh n-vertex instance, reusing the
-     * grown capacity of every internal array (in particular the dense
-     * (2n+1)^2 edge matrix, the dominant per-solve allocation): once
-     * the instance has seen its largest n, subsequent reset/solve
-     * cycles are allocation-free. All edge weights are cleared; the
-     * result is indistinguishable from a freshly constructed
-     * MaxWeightMatching(n). This is what lets `MwpmDecoder` keep one
-     * persistent matcher per decoder instance instead of paying the
-     * matrix allocation on every decode.
+     * Re-arm the solver for a fresh n-vertex instance with no edges.
+     * Capacity grown by earlier instances is kept, so once the solver
+     * has seen its largest instance, reset/add_edge/solve cycles are
+     * allocation-free. The result is indistinguishable from a freshly
+     * constructed MaxWeightMatching(n).
      */
     void reset(int n);
 
-    /** Set the weight of edge (u, v); w > 0 required, w == 0 removes. */
-    void set_weight(int u, int v, int64_t w);
+    /**
+     * Append edge (u, v) of weight w (any sign). u != v; an edge must
+     * not be inserted twice. Insertion order breaks ties between
+     * equal-weight matchings.
+     */
+    void add_edge(int u, int v, int64_t w);
 
     /**
-     * Run the matching. Returns the mate of each vertex (or -1) and
-     * stores the total weight retrievable via `total_weight()`.
+     * Run the matching. Returns the mate of each vertex (or -1); the
+     * reference stays valid until the next reset/solve. Under
+     * AuditLevel::Deep the optimality certificate is checked before
+     * returning (see `audit_optimum`).
      */
-    std::vector<int> solve();
+    const std::vector<int> &solve();
 
     /** Total weight of the matching computed by `solve()`. */
     int64_t total_weight() const { return total_weight_; }
 
     /**
-     * Verify the pooled-slot invariant over the active (2n+1)^2
-     * region: every edge slot holds canonical endpoints Edge{u, v, .}
-     * (add_blossom overwrites them; reset must restore them), and
-     * with `expect_cleared` additionally zero weight — the exact
-     * postcondition of reset(). Runs automatically at the end of
-     * reset() under AuditLevel::Deep. Throws CheckFailure.
+     * Verify the optimality certificate of the last `solve()` by
+     * complementary slackness, as `mwmatching`'s verifyOptimum does:
+     * mates are mutual and lie on edges; every edge has slack >= 0
+     * (vertex duals plus the duals of blossoms holding both ends) and
+     * every matched edge is tight; blossom duals are >= 0 and every
+     * blossom with a positive dual is full (all but its base matched
+     * inside it); an exposed vertex's dual is min(0, smallest vertex
+     * dual). Together these prove the matching has maximum weight
+     * among maximum-cardinality ones. The doubled decoding graph
+     * always admits a perfect matching, so there the result must be
+     * perfect, which `MwpmDecoder` checks on every decode. Throws
+     * CheckFailure.
      */
-    void audit_slots(bool expect_cleared) const;
+    void audit_optimum() const;
 
   private:
-    struct Edge
+    friend struct MaxWeightMatchingTestPeer;  ///< test-only hooks
+
+    int64_t slack(int k) const
     {
-        int u = 0;
-        int v = 0;
-        int64_t w = 0;
-    };
+        return dual_[endpoint_[2 * k]] + dual_[endpoint_[2 * k + 1]] -
+               2 * weight_[k];
+    }
+    /** Index into a blossom's cyclic child list; j in (-len, len). */
+    static size_t wrap(int j, size_t len)
+    {
+        return j < 0 ? static_cast<size_t>(j) + len : static_cast<size_t>(j);
+    }
 
-    int64_t edge_delta(const Edge &e) const;
-    void update_slack(int u, int x);
-    void set_slack(int x);
-    void queue_push(int x);
-    void set_st(int x, int b);
-    int get_pr(int b, int xr);
-    void set_match(int u, int v);
-    void augment(int u, int v);
-    int get_lca(int u, int v);
-    void add_blossom(int u, int lca, int v);
-    void expand_blossom(int b);
-    bool on_found_edge(const Edge &e);
-    bool matching_phase();
+    template <class F> void for_each_leaf(int b, F &f) const;
+    int first_labeled_leaf(int b) const;
+    void build_adjacency();
+    void assign_label(int w, int t, int p);
+    int scan_blossom(int v, int w);
+    void add_blossom(int base, int k);
+    void consider_best_edge(int b, int k);
+    void expand_blossom(int b, bool end_stage);
+    void augment_blossom(int b, int v);
+    void augment_matching(int k);
+    bool run_stage();
 
-    int n_ = 0;        ///< number of real vertices
-    int n_x_ = 0;      ///< real vertices plus live blossoms
-    int capacity_ = 0; ///< allocated array dimension (2 * max n + 1)
+    int n_ = 0;  ///< vertices of the current instance
 
-    std::vector<std::vector<Edge>> g_;
-    std::vector<int64_t> lab_;
-    std::vector<int> match_, slack_, st_, pa_, s_, vis_;
-    std::vector<std::vector<int>> flower_, flower_from_;
-    std::vector<int> queue_;
-    size_t queue_head_ = 0;
+    // Edge k joins endpoint_[2k] and endpoint_[2k+1]; an endpoint id
+    // p names vertex endpoint_[p], and p ^ 1 is the edge's other end.
+    std::vector<int> endpoint_;
+    std::vector<int64_t> weight_;
+    std::vector<int> adj_begin_;  ///< n + 1 CSR offsets into adj_
+    std::vector<int> adj_;        ///< remote endpoint ids per vertex
+
+    // Per vertex (n): mate endpoint id (or -1) and top-level blossom.
+    std::vector<int> mate_;
+    std::vector<int> in_blossom_;
+    // Per vertex or blossom (2n; blossom ids are n..2n-1).
+    std::vector<int> label_;      ///< 0 free, 1 S, 2 T (5 while scanning)
+    std::vector<int> label_end_;  ///< endpoint id the label came through
+    std::vector<int> blossom_parent_;
+    std::vector<int> blossom_base_;
+    std::vector<int> best_edge_;  ///< least-slack edge to an S-blossom
+    std::vector<int64_t> dual_;   ///< twice the vertex duals; blossom z
+    std::vector<std::vector<int>> blossom_childs_;  ///< odd cycle
+    std::vector<std::vector<int>> blossom_endps_;   ///< cycle endpoints
+    std::vector<std::vector<int>> blossom_best_;    ///< best-edge lists
+    std::vector<uint8_t> has_blossom_best_;  ///< blossom_best_ is live
+    std::vector<int> unused_blossoms_;
+    std::vector<uint8_t> allow_edge_;  ///< per edge: known tight
+    std::vector<int> queue_;           ///< S-vertices to scan (a stack)
+    std::vector<int> scan_path_;       ///< scan_blossom scratch
+    std::vector<int> best_edge_to_;    ///< add_blossom scratch (2n)
+    std::vector<int> mate_vertex_;     ///< solve() result (n)
     int64_t total_weight_ = 0;
-    int visit_stamp_ = 0;
+    // Structure counters since reset(), read by the tests that force
+    // nesting and expansion.
+    int blossoms_formed_ = 0;
+    int nested_blossoms_ = 0;  ///< children that were blossoms
+    int t_expansions_ = 0;     ///< T-blossoms expanded mid-stage
+    int s_expansions_ = 0;     ///< zero-dual S-blossoms at stage end
 };
 
 /**
@@ -110,9 +158,10 @@ class MaxWeightMatching
  * @return mate vector (mate[u] == v), or an empty vector if no perfect
  *         matching exists
  *
- * Reduction: transformed weight B - w with B larger than the total
- * weight of all edges, so a maximum-weight matching is forced to be
- * perfect (when one exists) and minimizes the original weight.
+ * Reduction: transformed weight C - w with C one more than the largest
+ * weight, solved in maximum-cardinality mode: every maximum-cardinality
+ * matching of a graph with a perfect matching is perfect, and among
+ * perfect matchings maximizing the sum of C - w minimizes the sum of w.
  */
 std::vector<int> min_weight_perfect_matching(
     int n, const std::vector<std::vector<int64_t>> &weights);

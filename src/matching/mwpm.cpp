@@ -25,16 +25,6 @@ constexpr int kNoNode = -1;
  */
 constexpr int kExactDpMaxDefects = 18;
 
-/**
- * Smallest uncapped instance worth domination-pruning: below this the
- * complete-graph blossom is already cheap and the O(k^2 log k)
- * selection is pure overhead (measured: no win at k ~ 17, ~1.5x at
- * k ~ 130). Skipping also makes small decodes — the BtwcSystem
- * per-cycle common case — structurally identical to the
- * complete-graph solve.
- */
-constexpr int kSparseMinDefects = 32;
-
 } // namespace
 
 int
@@ -47,7 +37,8 @@ log_likelihood_weight(double p, double scale)
 
 /**
  * Persistent per-instance working set. Every array (and the blossom
- * matcher's dense edge matrix) holds on to its grown capacity, so
+ * matcher's edge list, adjacency and blossom arrays) holds on to its
+ * grown capacity, so
  * after the first few decodes the steady state allocates nothing —
  * this is what the `BM_MwpmDecodeSingle*` benchmarks measure. One
  * Scratch lives in each decoder (`MwpmDecoder::scratch_`); `decode`,
@@ -68,10 +59,6 @@ struct MwpmDecoder::Scratch
     std::vector<int64_t> boundary_dist;
     std::vector<int64_t> defect_w;  ///< k x k pairwise distances, flat
     std::vector<int> mate_defect;
-
-    // Sparse candidate selection.
-    std::vector<int> nbr_order;
-    std::vector<uint8_t> keep;  ///< k x k candidate-edge flags
 
     // Subset-DP bridge (row-matrix view over `defect_w`).
     std::vector<std::vector<int64_t>> dp_w;
@@ -102,7 +89,6 @@ MwpmDecoder::MwpmDecoder(const RotatedSurfaceCode &code, CheckType detector,
       scratch_(std::make_unique<Scratch>())
 {
     BTWC_CHECK(space_weight >= 1 && time_weight >= 1);
-    BTWC_CHECK(fast_.knn >= 0);
 }
 
 MwpmDecoder::~MwpmDecoder() = default;
@@ -294,97 +280,59 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         BTWC_CHECK_MSG(total >= 0,
                        "defect graph always admits a boundary matching");
     } else {
-        // Build the 2k matching instance in the pooled solver:
-        // defects 0..k-1, boundary twins k..2k-1, twin-twin edges
-        // free. Under sparse_candidates each defect offers only its
-        // knn nearest non-dominated partners (an edge costing more
-        // than the two boundary retirements it replaces is in no
-        // optimal matching), symmetrically unioned; boundary and twin
-        // edges always survive, so a perfect matching always exists.
-        // Skip the selection when it cannot pay for itself: uncapped,
-        // below kSparseMinDefects; capped, below the cap + 1 (where
-        // the kNN union is the complete graph anyway). Small
-        // instances — the common case — then pay zero overhead and
-        // match the complete-graph solve identically by construction.
-        const int cap = fast_.knn == 0 ? k : fast_.knn;
-        const int min_defects =
-            fast_.knn == 0 ? kSparseMinDefects : fast_.knn + 1;
-        uint8_t *keep = nullptr;
-        if (fast_.sparse_candidates && k > min_defects) {
-            scratch.keep.assign(ks * ks, 0);
-            keep = scratch.keep.data();
-            std::vector<int> &order = scratch.nbr_order;
-            for (int i = 0; i < k; ++i) {
-                const int64_t *row = &defect_w[static_cast<size_t>(i) * ks];
-                order.clear();
-                for (int j = 0; j < k; ++j) {
-                    if (j != i && row[j] >= 0) {
-                        order.push_back(j);
-                    }
-                }
-                std::sort(order.begin(), order.end(),
-                          [row](int a, int b) {
-                              return row[a] != row[b] ? row[a] < row[b]
-                                                      : a < b;
-                          });
-                int taken = 0;
-                for (const int j : order) {
-                    if (taken >= cap) {
-                        break;
-                    }
-                    if (boundary_dist[i] >= 0 && boundary_dist[j] >= 0 &&
-                        row[j] > boundary_dist[i] + boundary_dist[j]) {
-                        continue;  // strictly dominated by boundaries
-                    }
-                    keep[static_cast<size_t>(i) * ks + j] = 1;
-                    keep[static_cast<size_t>(j) * ks + i] = 1;
-                    ++taken;
+        // The doubled candidate graph: defects 0..k-1, boundary twins
+        // k..2k-1. Each defect gets its boundary edge (i, k+i); each
+        // pair (i, j) that is not strictly dominated by the two
+        // boundary retirements (w_ij <= b_i + b_j) gets its edge plus a
+        // zero-cost twin edge (k+i, k+j). A dominated pair is in no
+        // optimal matching, and the twins of any matched pair can pair
+        // up over the mirrored edge, so the optimum equals the one on
+        // the complete graph with a twin clique. Costs become weights
+        // C - w with C the largest cost + 1, solved at maximum
+        // cardinality: the boundary edges make a perfect matching
+        // always exist, and the perfect one of maximum weight has
+        // minimum cost. Insertion order (ascending i, then j) fixes
+        // the tie selection.
+        auto kept = [&](int i, int j) {
+            const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
+            return w >= 0 &&
+                   (boundary_dist[i] < 0 || boundary_dist[j] < 0 ||
+                    w <= boundary_dist[i] + boundary_dist[j]);
+        };
+        int64_t max_cost = 0;
+        for (int i = 0; i < k; ++i) {
+            max_cost = std::max(max_cost, boundary_dist[i]);
+            for (int j = i + 1; j < k; ++j) {
+                if (kept(i, j)) {
+                    max_cost = std::max(
+                        max_cost, defect_w[static_cast<size_t>(i) * ks + j]);
                 }
             }
         }
-
-        const int n = 2 * k;
+        const int64_t c = max_cost + 1;
         MaxWeightMatching &solver = scratch.matcher;
-        solver.reset(n);
-        int64_t total = 0;
+        solver.reset(2 * k);
         for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-                if (w >= 0 &&
-                    (keep == nullptr ||
-                     keep[static_cast<size_t>(i) * ks + j])) {
-                    total += w;
-                }
-            }
             if (boundary_dist[i] >= 0) {
-                total += boundary_dist[i];
+                solver.add_edge(i, k + i, c - boundary_dist[i]);
             }
-        }
-        const int64_t big = total + 1;
-        for (int i = 0; i < k; ++i) {
             for (int j = i + 1; j < k; ++j) {
-                const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-                if (w >= 0 &&
-                    (keep == nullptr ||
-                     keep[static_cast<size_t>(i) * ks + j])) {
-                    solver.set_weight(i, j, big - w);
+                if (kept(i, j)) {
+                    solver.add_edge(
+                        i, j, c - defect_w[static_cast<size_t>(i) * ks + j]);
+                    solver.add_edge(k + i, k + j, c);
                 }
-            }
-            if (boundary_dist[i] >= 0) {
-                solver.set_weight(i, k + i, big - boundary_dist[i]);
-            }
-            for (int j = i + 1; j < k; ++j) {
-                solver.set_weight(k + i, k + j, big);
             }
         }
 
-        const std::vector<int> mate = solver.solve();
+        const std::vector<int> &mate = solver.solve();
+        for (int v = 0; v < 2 * k; ++v) {
+            BTWC_CHECK_MSG(mate[v] >= 0,
+                           "defect graph always admits a perfect matching");
+        }
+        // A defect's only twin neighbour is its own boundary twin.
         mate_defect.assign(ks, -1);
         for (int i = 0; i < k; ++i) {
-            BTWC_CHECK_MSG(mate[i] >= 0,
-                           "defect graph always admits a perfect matching");
-            // Matched to own boundary twin (twin-twin edges are only
-            // interconnected among themselves) or to another defect.
             mate_defect[i] = mate[i] < k ? mate[i] : -1;
         }
     }

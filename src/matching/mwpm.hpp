@@ -10,7 +10,7 @@
 namespace btwc {
 
 /**
- * Fast-path knobs of `MwpmDecoder` (all on by default; the legacy
+ * Fast-path knob of `MwpmDecoder` (on by default; the legacy
  * configuration is the exact reference the property tests pin the
  * fast path against, bit-for-bit).
  */
@@ -30,58 +30,19 @@ struct FastPathConfig
      */
     bool distance_oracle = true;
 
-    /**
-     * Hand the blossom stage a sparse candidate edge set — per defect
-     * its nearest partners with boundary-dominated pairs pruned —
-     * instead of the complete defect graph. A dominated edge costs
-     * strictly more than the two boundary retirements it replaces, so
-     * it appears in *no* optimal matching: the pruning provably
-     * preserves the optimal-matching set, and the bit-exactness
-     * property tests pin that the solver's tie selection survives too
-     * (tests/test_fastpath.cpp, including a d = 13 / ~200-defect
-     * stress corpus). Boundary and twin edges are always kept, so a
-     * perfect matching always exists.
-     */
-    bool sparse_candidates = true;
-
-    /**
-     * Optional hard cap on candidate partners kept per defect;
-     * 0 (the default) means uncapped — domination pruning only,
-     * which is the bit-exact configuration. A positive cap bounds the
-     * candidate degree for very large instances but may select a
-     * *different equal-weight* matching once defect counts exceed it
-     * (observed from ~160 defects with knn = 16), so capped decoders
-     * trade the bit-exactness guarantee for bounded work — opt-in
-     * only.
-     */
-    int knn = 0;
-
-    /** The default: oracle distances + domination-pruned candidates. */
+    /** The default: oracle distances. */
     static FastPathConfig fast() { return FastPathConfig(); }
 
     /**
-     * Oracle distances over the complete defect graph: for decoders
-     * that serve as exact references themselves (`ExactDecoder`),
-     * where even provably-optimum-preserving pruning is unwanted in
-     * the rare blossom fallback.
-     */
-    static FastPathConfig oracle_only()
-    {
-        FastPathConfig config;
-        config.sparse_candidates = false;
-        return config;
-    }
-
-    /**
-     * The pre-oracle reference configuration: per-defect Dijkstra and
-     * the complete defect graph. Kept as the exact baseline the
-     * property tests (tests/test_fastpath.cpp) compare against.
+     * The pre-oracle reference configuration: per-defect Dijkstra.
+     * Both configurations feed the same pruned candidate graph to the
+     * blossom matcher, so the property tests (tests/test_fastpath.cpp)
+     * pin them bit-exact against each other.
      */
     static FastPathConfig legacy()
     {
         FastPathConfig config;
         config.distance_oracle = false;
-        config.sparse_candidates = false;
         return config;
     }
 };
@@ -135,11 +96,13 @@ struct MwpmMatches
  * Defect pairwise distances come from the precomputed distance oracle
  * (surface/distance.hpp) under the default unit weights, or from
  * per-defect Dijkstra otherwise (see `FastPathConfig`); the pairing is
- * solved with the configured `Matcher` backend: the blossom algorithm
- * (each defect also gets a zero-cost-interconnected boundary twin, the
- * standard construction for codes with boundaries), or the brute-force
- * subset DP of matching/exact.hpp, which is exact by construction and
- * backs the `ExactDecoder` cross-validation tier.
+ * solved with the configured `Matcher` backend: the edge-list blossom
+ * algorithm over the candidate graph (each defect also gets a boundary
+ * twin, the standard construction for codes with boundaries; pairs
+ * dominated by their two boundary retirements are pruned, and twins
+ * are joined at zero cost only where their defects are), or the
+ * brute-force subset DP of matching/exact.hpp, which is exact by
+ * construction and backs the `ExactDecoder` cross-validation tier.
  *
  * Hot-path contract: each decoder instance owns one persistent graph /
  * matcher scratch (grown once, reused by every `decode` and
@@ -157,7 +120,8 @@ class MwpmDecoder : public Decoder
     /** Pairing engine used on the defect distance graph. */
     enum class Matcher : uint8_t
     {
-        Blossom = 0,  ///< O(V^3) primal-dual blossom (production path)
+        Blossom = 0,  ///< edge-list primal-dual blossom over the pruned
+                      ///< candidate graph (production path)
         ExactDp = 1,  ///< subset DP oracle; falls back to Blossom when
                       ///< the defect count exceeds its feasible range
     };

@@ -3,19 +3,55 @@
  * Property tests for the blossom matcher: structural validity plus
  * optimality against the brute-force subset-DP oracle on hundreds of
  * random instances, including the boundary-twin construction used by
- * the MWPM decoder.
+ * the MWPM decoder; sparse and infeasible graphs and larger instances
+ * against the dense reference solver; hand-built instances that force
+ * nested blossoms and their expansion; and the optimality-certificate
+ * audit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "matching/blossom.hpp"
 #include "matching/exact.hpp"
+#include "dense_blossom.hpp"
 
 namespace btwc {
+
+/** Test-only view of the matcher's duals, mates and counters. */
+struct MaxWeightMatchingTestPeer
+{
+    static std::vector<int64_t> &dual(MaxWeightMatching &m)
+    {
+        return m.dual_;
+    }
+    static std::vector<int> &mate(MaxWeightMatching &m) { return m.mate_; }
+    static int nested_blossoms(const MaxWeightMatching &m)
+    {
+        return m.nested_blossoms_;
+    }
+    static int t_expansions(const MaxWeightMatching &m)
+    {
+        return m.t_expansions_;
+    }
+    static int s_expansions(const MaxWeightMatching &m)
+    {
+        return m.s_expansions_;
+    }
+    static int blossoms_formed(const MaxWeightMatching &m)
+    {
+        return m.blossoms_formed_;
+    }
+};
+
 namespace {
+
+using Peer = MaxWeightMatchingTestPeer;
 
 /** Random dense symmetric weight matrix with entries in [1, max_w]. */
 std::vector<std::vector<int64_t>>
@@ -203,6 +239,258 @@ TEST(Blossom, BoundaryTwinConstructionMatchesOracle)
             exact_min_weight_with_boundary(k, dist, boundary);
         ASSERT_EQ(got, want) << "k=" << k << " iter=" << iter;
     }
+}
+
+/** Random symmetric graph keeping each edge with probability `keep`. */
+std::vector<std::vector<int64_t>>
+random_sparse_weights(int n, double keep, int64_t max_w, Rng &rng)
+{
+    std::vector<std::vector<int64_t>> w(n, std::vector<int64_t>(n, -1));
+    for (int u = 0; u < n; ++u) {
+        for (int v = u + 1; v < n; ++v) {
+            if (rng.bernoulli(keep)) {
+                w[u][v] = w[v][u] =
+                    static_cast<int64_t>(rng.next_below(max_w + 1));
+            }
+        }
+    }
+    return w;
+}
+
+TEST(BlossomSparseGraphs, MatchesExactOracleIncludingInfeasible)
+{
+    // Non-complete graphs with no guaranteed perfect matching: the
+    // result is empty exactly when the oracle finds none, optimal
+    // otherwise, and never uses a missing edge.
+    ScopedAuditLevel deep(AuditLevel::Deep);
+    Rng rng(2024);
+    int infeasible = 0;
+    int feasible = 0;
+    for (int iter = 0; iter < 400; ++iter) {
+        const int n = 2 + 2 * static_cast<int>(rng.next_below(8));
+        const double keep = 0.1 + 0.1 * static_cast<double>(iter % 5);
+        const auto w = random_sparse_weights(n, keep, 20, rng);
+        const int64_t want = exact_min_weight_perfect(n, w);
+        const auto mate = min_weight_perfect_matching(n, w);
+        if (want < 0) {
+            ASSERT_TRUE(mate.empty()) << "n=" << n << " iter=" << iter;
+            ++infeasible;
+            continue;
+        }
+        ASSERT_EQ(static_cast<int>(mate.size()), n) << "iter=" << iter;
+        expect_valid_perfect(mate);
+        for (int u = 0; u < n; ++u) {
+            ASSERT_GE(w[u][mate[u]], 0) << "matched a missing edge";
+        }
+        ASSERT_EQ(matching_weight(mate, w), want) << "iter=" << iter;
+        ++feasible;
+    }
+    EXPECT_GT(infeasible, 40);
+    EXPECT_GT(feasible, 40);
+}
+
+TEST(BlossomSparseGraphs, MatchesDenseSolverOnLargeGraphs)
+{
+    // Beyond the subset DP's reach: sparse random graphs of up to 80
+    // vertices against the dense reference solver.
+    ScopedAuditLevel deep(AuditLevel::Deep);
+    Rng rng(31337);
+    for (int iter = 0; iter < 60; ++iter) {
+        const int n = 20 + 2 * static_cast<int>(rng.next_below(31));
+        const double keep = 0.05 + 0.05 * static_cast<double>(iter % 6);
+        const auto w = random_sparse_weights(n, keep, 30, rng);
+        const auto mate = min_weight_perfect_matching(n, w);
+        const auto want = dense_min_weight_perfect_matching(n, w);
+        ASSERT_EQ(mate.empty(), want.empty()) << "iter=" << iter;
+        if (!mate.empty()) {
+            expect_valid_perfect(mate);
+            ASSERT_EQ(matching_weight(mate, w), matching_weight(want, w))
+                << "n=" << n << " iter=" << iter;
+        }
+    }
+}
+
+/** One max-weight instance with its known unique optimum. */
+struct KnownInstance
+{
+    const char *name;
+    int n;
+    std::vector<std::array<int, 3>> edges;  ///< (u, v, weight)
+    std::vector<int> mate;
+};
+
+/**
+ * Classic hand-built instances (from the `mwmatching` test suite,
+ * renumbered from 0) whose unique maximum-weight matching is perfect,
+ * so maximum-cardinality mode must find the same one. Each forces a
+ * nested blossom, the expansion of one, or both.
+ */
+std::vector<KnownInstance>
+nesting_instances()
+{
+    return {
+        {"s_nest", 6,
+         {{0, 1, 9}, {0, 2, 9}, {1, 2, 10}, {1, 3, 8}, {2, 4, 8},
+          {3, 4, 10}, {4, 5, 6}},
+         {2, 3, 0, 1, 5, 4}},
+        {"s_relabel_nest", 8,
+         {{0, 1, 10}, {0, 6, 10}, {1, 2, 12}, {2, 3, 20}, {2, 4, 20},
+          {3, 4, 25}, {4, 5, 10}, {5, 6, 10}, {6, 7, 8}},
+         {1, 0, 3, 2, 5, 4, 7, 6}},
+        {"s_nest_expand", 8,
+         {{0, 1, 8}, {0, 2, 8}, {1, 2, 10}, {1, 3, 12}, {2, 4, 12},
+          {3, 4, 14}, {3, 5, 12}, {4, 6, 12}, {5, 6, 14}, {6, 7, 12}},
+         {1, 0, 4, 5, 2, 3, 7, 6}},
+        {"s_t_expand", 8,
+         {{0, 1, 23}, {0, 4, 22}, {0, 5, 15}, {1, 2, 25}, {2, 3, 22},
+          {3, 4, 25}, {3, 7, 14}, {4, 6, 13}},
+         {5, 2, 1, 7, 6, 0, 4, 3}},
+        {"s_nest_t_expand", 8,
+         {{0, 1, 19}, {0, 2, 20}, {0, 7, 8}, {1, 2, 25}, {1, 3, 18},
+          {2, 4, 18}, {3, 4, 13}, {3, 6, 7}, {4, 5, 7}},
+         {7, 2, 1, 6, 5, 4, 3, 0}},
+        {"tnasty_expand", 10,
+         {{0, 1, 45}, {0, 4, 45}, {1, 2, 50}, {2, 3, 45}, {3, 4, 50},
+          {0, 5, 30}, {2, 8, 35}, {3, 7, 35}, {4, 6, 26}, {8, 9, 5}},
+         {5, 2, 1, 7, 6, 0, 4, 3, 9, 8}},
+        {"tnasty2_expand", 10,
+         {{0, 1, 45}, {0, 4, 45}, {1, 2, 50}, {2, 3, 45}, {3, 4, 50},
+          {0, 5, 30}, {2, 8, 35}, {3, 7, 26}, {4, 6, 40}, {8, 9, 5}},
+         {5, 2, 1, 7, 6, 0, 4, 3, 9, 8}},
+        {"t_expand_leastslack", 10,
+         {{0, 1, 45}, {0, 4, 45}, {1, 2, 50}, {2, 3, 45}, {3, 4, 50},
+          {0, 5, 30}, {2, 8, 35}, {3, 7, 28}, {4, 6, 26}, {8, 9, 5}},
+         {5, 2, 1, 7, 6, 0, 4, 3, 9, 8}},
+        {"nest_tnasty_expand", 12,
+         {{0, 1, 45}, {0, 6, 45}, {1, 2, 50}, {2, 3, 45}, {3, 4, 95},
+          {3, 5, 94}, {4, 5, 94}, {5, 6, 50}, {0, 7, 30}, {2, 10, 35},
+          {4, 8, 36}, {6, 9, 26}, {10, 11, 5}},
+         {7, 2, 1, 5, 8, 3, 9, 0, 4, 6, 11, 10}},
+        {"nest_relabel_expand", 10,
+         {{0, 1, 40}, {0, 2, 40}, {1, 2, 60}, {1, 3, 55}, {2, 4, 55},
+          {3, 4, 50}, {0, 7, 15}, {4, 6, 30}, {6, 5, 10}, {7, 9, 10},
+          {3, 8, 30}},
+         {1, 0, 4, 8, 2, 6, 5, 9, 3, 7}},
+    };
+}
+
+TEST(BlossomNesting, KnownInstancesNestAndExpand)
+{
+    ScopedAuditLevel deep(AuditLevel::Deep);  // certify every solve
+    int nested = 0;
+    int t_expanded = 0;
+    int s_expanded = 0;
+    MaxWeightMatching matcher;
+    for (const KnownInstance &inst : nesting_instances()) {
+        matcher.reset(inst.n);
+        int64_t want = 0;
+        for (const auto &e : inst.edges) {
+            matcher.add_edge(e[0], e[1], e[2]);
+            if (inst.mate[e[0]] == e[1]) {
+                want += e[2];
+            }
+        }
+        EXPECT_EQ(matcher.solve(), inst.mate) << inst.name;
+        EXPECT_EQ(matcher.total_weight(), want) << inst.name;
+        EXPECT_GT(Peer::blossoms_formed(matcher), 0) << inst.name;
+        nested += Peer::nested_blossoms(matcher);
+        t_expanded += Peer::t_expansions(matcher);
+        s_expanded += Peer::s_expansions(matcher);
+    }
+    EXPECT_GT(nested, 0) << "no instance nested a blossom";
+    EXPECT_GT(t_expanded, 0) << "no instance expanded a T-blossom";
+    EXPECT_GT(s_expanded, 0) << "no instance expanded an S-blossom";
+}
+
+TEST(BlossomNesting, RandomNestingCorpusMatchesDenseSolver)
+{
+    // Dense graphs with few distinct weights build deep blossom
+    // structure; the corpus must nest and expand, and every result
+    // must match the dense solver's minimum weight and certify itself.
+    ScopedAuditLevel deep(AuditLevel::Deep);
+    Rng rng(777);
+    int nested = 0;
+    int t_expanded = 0;
+    int s_expanded = 0;
+    MaxWeightMatching matcher;
+    for (int iter = 0; iter < 200; ++iter) {
+        const int n = 6 + 2 * static_cast<int>(rng.next_below(12));
+        const auto w = random_sparse_weights(n, 0.6, 4, rng);
+        matcher.reset(n);
+        for (int u = 0; u < n; ++u) {
+            for (int v = u + 1; v < n; ++v) {
+                if (w[u][v] >= 0) {
+                    matcher.add_edge(u, v, 5 - w[u][v]);  // C - w
+                }
+            }
+        }
+        const std::vector<int> mate = matcher.solve();
+        const auto want = dense_min_weight_perfect_matching(n, w);
+        const bool perfect =
+            std::all_of(mate.begin(), mate.end(), [](int m) { return m >= 0; });
+        ASSERT_EQ(perfect, !want.empty()) << "iter=" << iter;
+        if (perfect) {
+            expect_valid_perfect(mate);
+            ASSERT_EQ(matching_weight(mate, w), matching_weight(want, w))
+                << "n=" << n << " iter=" << iter;
+        }
+        nested += Peer::nested_blossoms(matcher);
+        t_expanded += Peer::t_expansions(matcher);
+        s_expanded += Peer::s_expansions(matcher);
+    }
+    EXPECT_GT(nested, 0);
+    EXPECT_GT(t_expanded, 0);
+    EXPECT_GT(s_expanded, 0);
+}
+
+/** A solved instance with a blossom: the odd cycle 0-1-2 plus 2-3. */
+void
+solve_audit_fixture(MaxWeightMatching &matcher)
+{
+    matcher.reset(6);
+    matcher.add_edge(0, 1, 6);
+    matcher.add_edge(1, 2, 6);
+    matcher.add_edge(0, 2, 6);
+    matcher.add_edge(2, 3, 5);
+    matcher.add_edge(3, 4, 4);
+    matcher.add_edge(4, 5, 3);
+    ASSERT_EQ(matcher.solve(), (std::vector<int>{1, 0, 3, 2, 5, 4}));
+    ASSERT_NO_THROW(matcher.audit_optimum());
+}
+
+TEST(BlossomAudit, CorruptedDualIsDetected)
+{
+    MaxWeightMatching matcher;
+    solve_audit_fixture(matcher);
+    // Lowering a matched vertex's dual gives its matched edge negative
+    // slack.
+    Peer::dual(matcher)[0] -= 2;
+    EXPECT_THROW(matcher.audit_optimum(), CheckFailure);
+
+    solve_audit_fixture(matcher);
+    // Raising it leaves the matched edge slack, not tight.
+    Peer::dual(matcher)[0] += 2;
+    EXPECT_THROW(matcher.audit_optimum(), CheckFailure);
+
+    solve_audit_fixture(matcher);
+    // A negative blossom dual is never feasible.
+    Peer::dual(matcher)[11] = -1;
+    EXPECT_THROW(matcher.audit_optimum(), CheckFailure);
+}
+
+TEST(BlossomAudit, CorruptedMateIsDetected)
+{
+    MaxWeightMatching matcher;
+    solve_audit_fixture(matcher);
+    // Unmatching one end leaves a half-matched edge.
+    Peer::mate(matcher)[0] = -1;
+    EXPECT_THROW(matcher.audit_optimum(), CheckFailure);
+
+    solve_audit_fixture(matcher);
+    // Re-pointing both ends of 4-5 at edge 3-4 breaks mutuality.
+    std::vector<int> &mate = Peer::mate(matcher);
+    mate[4] = mate[3];
+    EXPECT_THROW(matcher.audit_optimum(), CheckFailure);
 }
 
 TEST(ExactOracle, TinyCasesByHand)

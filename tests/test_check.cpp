@@ -3,10 +3,11 @@
  * Tests for the contract/audit subsystem (src/common/check.hpp): audit
  * level semantics and the ScopedAuditLevel RAII, CheckFailure payload,
  * macro evaluation gating, the structural audit() methods (PackedBits,
- * MaxWeightMatching slots, OffchipQueue, SharedOffchipService,
- * CheckGraphDistances) including deliberate-corruption negative tests,
- * the SingleThreadOwner pooled-scratch guard, and the scenario-level
- * audit= knob (grammar round-trip; metrics invariant under auditing).
+ * MaxWeightMatching optimality certificate, OffchipQueue,
+ * SharedOffchipService, CheckGraphDistances) including
+ * deliberate-corruption negative tests, the SingleThreadOwner
+ * pooled-scratch guard, and the scenario-level audit= knob (grammar
+ * round-trip; metrics invariant under auditing).
  */
 
 #include <gtest/gtest.h>
@@ -169,27 +170,34 @@ TEST(PackedBitsAudit, CorruptedTailWordThrows)
         CheckFailure);
 }
 
-// ------------------------------------------------- matcher slot audit
+// --------------------------------------------- matcher pooled re-arm
 
 TEST(MatcherAudit, ResetRestoresSlotsAcrossShrinkAndGrow)
 {
-    ScopedAuditLevel deep(AuditLevel::Deep);  // reset() self-audits
+    // The pooled arrays must re-arm for every instance: a
+    // blossom-forming instance, then a smaller and a larger one, each
+    // solve certifying its own optimum (solve() self-audits).
+    ScopedAuditLevel deep(AuditLevel::Deep);
     MaxWeightMatching matcher;
     matcher.reset(6);
-    matcher.set_weight(0, 1, 5);
-    matcher.set_weight(2, 3, 4);
-    matcher.set_weight(4, 5, 3);
-    matcher.set_weight(1, 2, 7);
-    matcher.solve();  // may shrink blossoms, rewriting slot endpoints
+    matcher.add_edge(0, 1, 5);
+    matcher.add_edge(2, 3, 4);
+    matcher.add_edge(4, 5, 3);
+    matcher.add_edge(1, 2, 7);
+    matcher.add_edge(0, 2, 6);  // odd cycle 0-1-2
+    EXPECT_EQ(matcher.solve(), (std::vector<int>{1, 0, 3, 2, 5, 4}));
 
-    matcher.reset(4);  // shrink: reuse path
-    EXPECT_NO_THROW(matcher.audit_slots(true));
-    matcher.set_weight(0, 1, 2);
-    matcher.set_weight(2, 3, 2);
-    matcher.solve();
+    matcher.reset(4);  // shrink
+    matcher.add_edge(0, 1, 2);
+    matcher.add_edge(2, 3, 2);
+    EXPECT_EQ(matcher.solve(), (std::vector<int>{1, 0, 3, 2}));
+    EXPECT_NO_THROW(matcher.audit_optimum());
 
-    matcher.reset(8);  // grow: reallocation path
-    EXPECT_NO_THROW(matcher.audit_slots(true));
+    matcher.reset(8);  // grow
+    matcher.add_edge(6, 7, 1);
+    EXPECT_EQ(matcher.solve(),
+              (std::vector<int>{-1, -1, -1, -1, -1, -1, 7, 6}));
+    EXPECT_NO_THROW(matcher.audit_optimum());
 }
 
 // --------------------------------------------------- off-chip queue

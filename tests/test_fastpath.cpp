@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for the decode hot path: the precomputed distance oracle
- * (surface/distance.hpp), the oracle-backed MWPM fast path and its
- * sparse candidate-edge matcher — pinned *bit-exact* against the
- * legacy per-defect Dijkstra + complete-graph solve — the pooled
- * blossom scratch (`MaxWeightMatching::reset`), the persistent
- * per-decoder scratch, and the `LookupTableDecoder` (`lut`) tier.
+ * (surface/distance.hpp), the oracle-backed MWPM fast path — pinned
+ * *bit-exact* against the legacy per-defect Dijkstra, and its
+ * pruned-candidate-graph matching weight against a dense
+ * complete-graph solve — the pooled blossom scratch
+ * (`MaxWeightMatching::reset`), the persistent per-decoder scratch,
+ * and the `LookupTableDecoder` (`lut`) tier.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <queue>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "decoders/exact_decoder.hpp"
 #include "decoders/lookup_table.hpp"
@@ -22,6 +26,7 @@
 #include "surface/distance.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
+#include "dense_blossom.hpp"
 
 namespace btwc {
 namespace {
@@ -142,15 +147,42 @@ sample_events(const RotatedSurfaceCode &code, CheckType detector,
 }
 
 /**
+ * Optimal matching weight of `events` on the complete doubled graph
+ * (every defect pair, a zero-cost twin clique, no pruning), solved by
+ * the dense reference blossom over the oracle's unit-weight distances.
+ */
+int64_t
+dense_oracle_weight(const RotatedSurfaceCode &code, CheckType detector,
+                    const std::vector<DetectionEvent> &events)
+{
+    const CheckGraphDistances &oracle = code.check_distances(detector);
+    const size_t k = events.size();
+    std::vector<std::vector<int64_t>> dist(k, std::vector<int64_t>(k, -1));
+    std::vector<int64_t> boundary(k);
+    for (size_t i = 0; i < k; ++i) {
+        boundary[i] = oracle.boundary_hops(events[i].check) + 1;
+        for (size_t j = 0; j < k; ++j) {
+            if (j != i) {
+                dist[i][j] =
+                    oracle.distance(events[i].check, events[j].check) +
+                    std::abs(events[i].round - events[j].round);
+            }
+        }
+    }
+    return dense_boundary_matching_cost(dist, boundary);
+}
+
+/**
  * The load-bearing property: for every tested distance, rounds value,
  * detector type, and random syndrome, the decoder under `probe` must
  * produce the *bit-identical* correction and weight the legacy
- * configuration (per-defect Dijkstra + complete defect graph)
- * produces.
+ * configuration (per-defect Dijkstra) produces. With `dense_oracle`
+ * the weight must also equal the dense complete-graph optimum.
  */
 void
 expect_bit_exact_with_legacy(const FastPathConfig &probe,
-                             MwpmDecoder::Matcher matcher, uint64_t salt)
+                             MwpmDecoder::Matcher matcher, uint64_t salt,
+                             bool dense_oracle = false)
 {
     for (const int d : {3, 5, 7, 9}) {
         const RotatedSurfaceCode code(d);
@@ -176,6 +208,12 @@ expect_bit_exact_with_legacy(const FastPathConfig &probe,
                         << " iter=" << iter << " k=" << events.size();
                     ASSERT_EQ(a.defects, b.defects);
                     ASSERT_EQ(a.resolved, b.resolved);
+                    if (dense_oracle) {
+                        ASSERT_EQ(a.weight,
+                                  dense_oracle_weight(code, det, events))
+                            << "d=" << d << " rounds=" << rounds
+                            << " iter=" << iter << " k=" << events.size();
+                    }
                 }
             }
         }
@@ -190,30 +228,30 @@ TEST(MwpmFastPath, DefaultConfigBitExactWithLegacy)
 
 TEST(MwpmFastPath, OracleAloneBitExactWithLegacy)
 {
-    FastPathConfig probe;
-    probe.sparse_candidates = false;
-    expect_bit_exact_with_legacy(probe, MwpmDecoder::Matcher::Blossom,
-                                 77);
+    // Once the oracle-distance, complete-graph configuration; pruning
+    // is now unconditional, so this corpus pins the pruned graph's
+    // matching weight to the dense complete-graph optimum.
+    expect_bit_exact_with_legacy(FastPathConfig::fast(),
+                                 MwpmDecoder::Matcher::Blossom, 77,
+                                 true);
 }
 
 TEST(MwpmFastPath, KnnCappedBitExactOnModerateInstances)
 {
-    // The opt-in degree cap agrees with the complete-graph solve on
-    // moderate defect counts (the guarantee stops at very large
-    // instances — see the high-defect stress test below).
-    FastPathConfig probe;
-    probe.knn = 16;
-    expect_bit_exact_with_legacy(probe, MwpmDecoder::Matcher::Blossom,
-                                 154);
+    // Once the opt-in degree cap; the cap is gone, and this corpus
+    // pins the pruned graph's matching weight to the dense
+    // complete-graph optimum.
+    expect_bit_exact_with_legacy(FastPathConfig::fast(),
+                                 MwpmDecoder::Matcher::Blossom, 154,
+                                 true);
 }
 
 TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
 {
-    // The regression the knn default of 0 (domination-only pruning)
-    // pins: a hard kNN cap selects a different equal-weight matching
-    // from ~160 defects up, while pure domination pruning — which
-    // removes only edges provably in no optimal matching — stays
-    // bit-exact. Windows here reach ~200 defects.
+    // Large windows (~200 defects): domination pruning removes only
+    // edges provably in no optimal matching, so the oracle and
+    // Dijkstra paths stay bit-exact on the pruned graph and its
+    // matching weight equals the dense complete-graph optimum.
     const int d = 13;
     const RotatedSurfaceCode code(d);
     const int rounds = d + 1;
@@ -221,10 +259,6 @@ TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
     const MwpmDecoder legacy(code, CheckType::Z, 1, 1,
                              MwpmDecoder::Matcher::Blossom,
                              FastPathConfig::legacy());
-    FastPathConfig capped;
-    capped.knn = 16;
-    const MwpmDecoder knn_capped(code, CheckType::Z, 1, 1,
-                                 MwpmDecoder::Matcher::Blossom, capped);
     Rng rng(99);
     int decoded = 0;
     for (int iter = 0; iter < 40 && decoded < 4; ++iter) {
@@ -240,14 +274,41 @@ TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
             << "iter=" << iter << " k=" << events.size();
         ASSERT_EQ(a.correction, b.correction)
             << "iter=" << iter << " k=" << events.size();
-        // The capped matcher solves a subgraph: its matching can never
-        // beat the optimum (equality is not guaranteed — that is why
-        // the cap is opt-in).
-        const auto c = knn_capped.decode(events, rounds);
-        ASSERT_GE(c.weight, b.weight)
+        ASSERT_EQ(a.weight, dense_oracle_weight(code, CheckType::Z, events))
             << "iter=" << iter << " k=" << events.size();
     }
     ASSERT_EQ(decoded, 4) << "stress corpus must reach large windows";
+}
+
+TEST(MwpmFastPath, StreamD21ShapedCorpusMatchesDenseOracle)
+{
+    // The stream-d21 operating point: d = 21 windows of 21 rounds at
+    // p around 1e-3 (about 27 defects, tail to ~60). On every window
+    // the pruned-graph matching weight equals the dense complete-graph
+    // optimum, with the optimality certificate checked on every solve.
+    ScopedAuditLevel deep(AuditLevel::Deep);
+    const int d = 21;
+    const int rounds = 21;
+    const RotatedSurfaceCode code(d);
+    const MwpmDecoder decoder(code, CheckType::Z);
+    Rng rng(2103);
+    const double ps[] = {1e-3, 1.5e-3, 2.2e-3};
+    size_t largest = 0;
+    int windows = 0;
+    for (int iter = 0; iter < 1200; ++iter) {
+        const std::vector<DetectionEvent> events =
+            sample_events(code, CheckType::Z, rounds, ps[iter % 3], rng);
+        if (events.empty()) {
+            continue;
+        }
+        ++windows;
+        largest = std::max(largest, events.size());
+        const auto got = decoder.decode(events, rounds);
+        ASSERT_EQ(got.weight, dense_oracle_weight(code, CheckType::Z, events))
+            << "iter=" << iter << " k=" << events.size();
+    }
+    EXPECT_GE(windows, 1000);
+    EXPECT_GE(largest, 50u) << "corpus must reach the defect-count tail";
 }
 
 TEST(MwpmFastPath, ExactDpBackendBitExactWithLegacy)
@@ -322,8 +383,8 @@ TEST(BlossomReset, PooledSolverMatchesFreshAcrossRandomInstances)
 {
     // The regression this pins: a reused solver must be
     // indistinguishable from a freshly constructed one even when
-    // instance sizes shrink and grow (blossom-slot rows keep stale
-    // edge *endpoints* unless reset restores them).
+    // instance sizes shrink and grow (pooled per-vertex, per-blossom
+    // and per-edge arrays must be re-armed over the active region).
     Rng rng(42);
     MaxWeightMatching pooled;
     for (int iter = 0; iter < 400; ++iter) {
@@ -358,8 +419,8 @@ TEST(BlossomReset, PooledSolverMatchesFreshAcrossRandomInstances)
         for (int u = 0; u < n; ++u) {
             for (int v = u + 1; v < n; ++v) {
                 if (w[u][v] >= 0) {
-                    pooled.set_weight(u, v, big - w[u][v]);
-                    fresh.set_weight(u, v, big - w[u][v]);
+                    pooled.add_edge(u, v, big - w[u][v]);
+                    fresh.add_edge(u, v, big - w[u][v]);
                 }
             }
         }
@@ -377,7 +438,7 @@ TEST(BlossomReset, ResetZeroAndRegrowIsSafe)
     solver.reset(0);
     EXPECT_TRUE(solver.solve().empty());
     solver.reset(2);
-    solver.set_weight(0, 1, 5);
+    solver.add_edge(0, 1, 5);
     const std::vector<int> mate = solver.solve();
     ASSERT_EQ(mate.size(), 2u);
     EXPECT_EQ(mate[0], 1);
