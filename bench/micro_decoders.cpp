@@ -287,7 +287,7 @@ BENCHMARK(BM_SpacetimeMwpmWindow)->Arg(5)->Arg(9)->Arg(11);
  * per slot, varied inputs) through the fast path — distance oracle +
  * pooled per-instance scratch, the production default — against the
  * legacy per-defect Dijkstra configuration; both solve the same
- * pruned candidate graph (bit-exact results, tests/test_fastpath.cpp). The
+ * savings graph (bit-exact results, tests/test_fastpath.cpp). The
  * acceptance bar is >= 3x at d >= 11; see the archived
  * BENCH_decoders.json for the measured trajectory.
  */

@@ -343,6 +343,17 @@ echo "== nested blossoms: the benchmark's stream-d21 spec under deep audits =="
 echo "stream-d21 deep-audit run OK"
 
 echo
+echo "== dense windows: stream-d21 at p=5e-3 under deep audits =="
+# About 130 defects a window: the matcher's trees live through many
+# augmentations and nest blossoms on every window, and deep audits
+# certify every solve's optimum (complementary slackness). The run
+# must complete (exit 0).
+./build-release/btwc_run "kind=stream,d=21,p=5e-3,window=21,overlap=7,cycles=2000" \
+    --threads 1 --audit deep --json build-release/BENCH_stream_d21_dense.json \
+    > /dev/null
+echo "stream-d21 p=5e-3 deep-audit run OK"
+
+echo
 echo "== micro benchmarks: micro_decoders -> BENCH_decoders.json =="
 # Matcher/decoder microbenchmarks join the perf trajectory next to the
 # scenario Report. --benchmark_min_time is pinned so archived numbers

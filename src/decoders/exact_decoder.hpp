@@ -20,10 +20,10 @@ class ExactDecoder : public MwpmDecoder
   public:
     /**
      * Defaults to O(1) oracle distances (bit-exact with the Dijkstra).
-     * The rare > ~18-defect blossom fallback solves the same pruned
-     * candidate graph as `MwpmDecoder`; the pruning drops only edges
-     * that are in no optimal matching, and tests pin its weight to a
-     * dense complete-graph solve.
+     * The rare > ~18-defect blossom fallback solves the same savings
+     * graph as `MwpmDecoder`; it leaves out only pairs that save
+     * nothing over two boundary retirements, and tests pin its weight
+     * to a dense complete-graph solve.
      */
     ExactDecoder(const RotatedSurfaceCode &code, CheckType detector,
                  int space_weight = 1, int time_weight = 1,

@@ -1,6 +1,7 @@
 #include "matching/blossom.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -18,19 +19,14 @@ MaxWeightMatching::reset(int n)
     n_ = n;
     endpoint_.clear();
     weight_.clear();
+    mate_vertex_.clear();
+    total_weight_ = 0;
     blossoms_formed_ = 0;
     nested_blossoms_ = 0;
     t_expansions_ = 0;
     s_expansions_ = 0;
-}
-
-void
-MaxWeightMatching::add_edge(int u, int v, int64_t w)
-{
-    BTWC_AUDIT(u != v && u >= 0 && v >= 0 && u < n_ && v < n_);
-    endpoint_.push_back(u);
-    endpoint_.push_back(v);
-    weight_.push_back(w);
+    stages_ = 0;
+    augmentations_ = 0;
 }
 
 template <class F>
@@ -88,12 +84,16 @@ MaxWeightMatching::assign_label(int w, int t, int p)
 {
     // Label the top-level blossom of w with t through endpoint p; a T
     // label propagates an S label to the mate of the blossom's base.
+    // Both join the tree of the S-vertex at endpoint p (a root, p ==
+    // -1, starts its own tree).
+    const int root = p < 0 ? w : tree_root_[in_blossom_[endpoint_[p]]];
     for (;;) {
         const int b = in_blossom_[w];
         BTWC_DCHECK(label_[w] == 0 && label_[b] == 0);
         label_[w] = label_[b] = t;
         label_end_[w] = label_end_[b] = p;
         best_edge_[w] = best_edge_[b] = -1;
+        tree_root_[b] = root;
         if (t == 1) {
             auto push = [this](int v) { queue_.push_back(v); };
             for_each_leaf(b, push);
@@ -197,6 +197,7 @@ MaxWeightMatching::add_blossom(int base, int k)
     BTWC_DCHECK(label_[bb] == 1);
     label_[b] = 1;
     label_end_[b] = label_end_[bb];
+    tree_root_[b] = tree_root_[bb];
     dual_[b] = 0;
     // Former T-vertices become S-vertices: scan them.
     auto relabel = [this, b](int leaf) {
@@ -247,25 +248,25 @@ MaxWeightMatching::add_blossom(int base, int k)
 }
 
 void
-MaxWeightMatching::expand_blossom(int b, bool end_stage)
+MaxWeightMatching::expand_blossom(int b, bool dissolving)
 {
-    // Turn the children of b into top-level blossoms; at the end of a
-    // stage, zero-dual S-children recursively too.
-    if (end_stage) {
+    // Turn the children of b into top-level blossoms; when b's tree
+    // dissolves, zero-dual children recursively too.
+    if (dissolving) {
         ++s_expansions_;
     }
     for (const int s : blossom_childs_[b]) {
         blossom_parent_[s] = -1;
         if (s < n_) {
             in_blossom_[s] = s;
-        } else if (end_stage && dual_[s] == 0) {
-            expand_blossom(s, end_stage);
+        } else if (dissolving && dual_[s] == 0) {
+            expand_blossom(s, true);
         } else {
             auto own = [this, s](int leaf) { in_blossom_[leaf] = s; };
             for_each_leaf(s, own);
         }
     }
-    if (!end_stage && label_[b] == 2) {
+    if (!dissolving && label_[b] == 2) {
         // A T-blossom mid-stage: relabel the even-length path from the
         // entry child to the base so the alternating tree stays valid.
         ++t_expansions_;
@@ -303,6 +304,7 @@ MaxWeightMatching::expand_blossom(int b, bool end_stage)
         label_[endpoint_[p ^ 1]] = label_[bv] = 2;
         label_end_[endpoint_[p ^ 1]] = label_end_[bv] = p;
         best_edge_[bv] = -1;
+        tree_root_[bv] = tree_root_[b];
         j += jstep;
         // Children off that path lose their labels unless a vertex in
         // them was reached from outside, which re-labels it T.
@@ -384,6 +386,7 @@ MaxWeightMatching::augment_blossom(int b, int v)
 void
 MaxWeightMatching::augment_matching(int k)
 {
+    ++augmentations_;
     // Flip the augmenting path through edge k back to both roots.
     const int ends[2] = {endpoint_[2 * k], endpoint_[2 * k + 1]};
     const int remote[2] = {2 * k + 1, 2 * k};
@@ -414,119 +417,239 @@ MaxWeightMatching::augment_matching(int k)
     }
 }
 
-bool
-MaxWeightMatching::run_stage()
+void
+MaxWeightMatching::unlabel(int b)
 {
-    // One stage: grow alternating trees from every exposed vertex
-    // until an augmenting path is found (true) or none exists (false).
-    const int n2 = 2 * n_;
-    std::fill(label_.begin(), label_.begin() + n2, 0);
-    std::fill(best_edge_.begin(), best_edge_.begin() + n2, -1);
-    for (int b = n_; b < n2; ++b) {
-        blossom_best_[b].clear();
-        has_blossom_best_[b] = 0;
-    }
-    std::fill(allow_edge_.begin(), allow_edge_.end(), 0);
-    queue_.clear();
-    for (int v = 0; v < n_; ++v) {
-        if (mate_[v] == -1 && label_[in_blossom_[v]] == 0) {
-            assign_label(v, 1, -1);
+    label_[b] = 0;
+    best_edge_[b] = -1;
+    if (b >= n_) {
+        for (const int t : blossom_childs_[b]) {
+            unlabel(t);
         }
+    }
+}
+
+void
+MaxWeightMatching::rebuild_best_edge(int b)
+{
+    // Least-slack edge from the leaves of b to another top-level
+    // S-blossom, by a full scan. A blossom drops its best-edge list, so
+    // a later merge rescans its leaves.
+    best_edge_[b] = -1;
+    has_blossom_best_[b] = 0;
+    auto scan = [this, b](int leaf) {
+        for (int i = adj_begin_[leaf]; i < adj_begin_[leaf + 1]; ++i) {
+            const int k = adj_[i] >> 1;
+            const int bw = in_blossom_[endpoint_[adj_[i]]];
+            if (bw != b && label_[bw] == 1 &&
+                (best_edge_[b] == -1 || slack(k) < slack(best_edge_[b]))) {
+                best_edge_[b] = k;
+            }
+        }
+    };
+    for_each_leaf(b, scan);
+}
+
+void
+MaxWeightMatching::dissolve_trees(int r1, int r2)
+{
+    // An augmentation joined the trees rooted at r1 and r2. Their
+    // vertices become free; every other tree keeps growing.
+    freed_.clear();
+    for (int v = 0; v < n_; ++v) {
+        const int b = in_blossom_[v];
+        if (label_[b] != 0 && (tree_root_[b] == r1 || tree_root_[b] == r2)) {
+            freed_.push_back(v);
+        }
+    }
+    for (const int v : freed_) {
+        const int b = in_blossom_[v];
+        if (label_[b] == 0) {
+            continue;  // its blossom was handled through another leaf
+        }
+        const bool s_blossom = label_[b] == 1;
+        unlabel(b);
+        if (b >= n_) {
+            blossom_best_[b].clear();
+            has_blossom_best_[b] = 0;
+            if (s_blossom && dual_[b] == 0) {
+                expand_blossom(b, true);
+            }
+        }
+    }
+    // Freed vertices re-test the tightness of their edges and find
+    // their least-slack edge to an S-vertex. Labels elsewhere were
+    // never derived from the dissolved trees, except the vertex labels
+    // inside T-blossoms reached from them (cleared here) and
+    // least-slack edges into them (re-derived before the next dual
+    // step, by valid_best_edge()).
+    for (const int v : freed_) {
+        for (int i = adj_begin_[v]; i < adj_begin_[v + 1]; ++i) {
+            allow_edge_[adj_[i] >> 1] = 0;
+        }
+        rebuild_best_edge(v);
+    }
+    for (int v = 0; has_blossoms() && v < n_; ++v) {
+        if (label_[v] == 2 && label_[in_blossom_[v]] == 2 &&
+            label_[in_blossom_[endpoint_[label_end_[v]]]] != 1) {
+            label_[v] = 0;  // reached from a dissolved tree
+            rebuild_best_edge(v);
+        }
+    }
+    size_t kept = 0;
+    for (const int v : queue_) {
+        if (label_[in_blossom_[v]] == 1) {
+            queue_[kept++] = v;
+        }
+    }
+    queue_.resize(kept);
+}
+
+void
+MaxWeightMatching::scan_vertex(int v)
+{
+    // Follow every edge of S-vertex v: grow, shrink or augment over
+    // tight ones, record least-slack candidates for the others. Stops
+    // early when an augmentation dissolves v's tree.
+    for (int i = adj_begin_[v]; i < adj_begin_[v + 1]; ++i) {
+        const int p = adj_[i];
+        const int k = p >> 1;
+        const int w = endpoint_[p];
+        if (in_blossom_[v] == in_blossom_[w]) {
+            continue;  // internal to a blossom
+        }
+        int64_t kslack = 0;
+        if (!allow_edge_[k]) {
+            kslack = slack(k);
+            if (kslack <= 0) {
+                allow_edge_[k] = 1;
+            }
+        }
+        if (allow_edge_[k]) {
+            if (label_[in_blossom_[w]] == 0) {
+                assign_label(w, 2, p ^ 1);  // grow
+            } else if (label_[in_blossom_[w]] == 1) {
+                const int base = scan_blossom(v, w);
+                if (base >= 0) {
+                    add_blossom(base, k);
+                } else {
+                    const int r1 = tree_root_[in_blossom_[v]];
+                    const int r2 = tree_root_[in_blossom_[w]];
+                    augment_matching(k);
+                    dissolve_trees(r1, r2);
+                    return;
+                }
+            } else if (label_[w] == 0) {
+                // w is inside a T-blossom but not yet reached.
+                BTWC_DCHECK(label_[in_blossom_[w]] == 2);
+                label_[w] = 2;
+                label_end_[w] = p ^ 1;
+            }
+        } else if (label_[in_blossom_[w]] == 1) {
+            const int b = in_blossom_[v];
+            if (best_edge_[b] == -1 || kslack < slack(best_edge_[b])) {
+                best_edge_[b] = k;
+            }
+        } else if (label_[w] == 0) {
+            if (best_edge_[w] == -1 || kslack < slack(best_edge_[w])) {
+                best_edge_[w] = k;
+            }
+        }
+    }
+}
+
+int
+MaxWeightMatching::valid_best_edge(int b)
+{
+    // The least-slack edge of vertex-or-blossom b, re-derived when it
+    // no longer leads to another top-level S-blossom: its far end was
+    // in a dissolved tree.
+    const int k = best_edge_[b];
+    if (k != -1) {
+        const int u = endpoint_[2 * k];
+        const int bu = in_blossom_[u];
+        const int far =
+            u == b || bu == b ? in_blossom_[endpoint_[2 * k + 1]] : bu;
+        if (far == b || label_[far] != 1) {
+            rebuild_best_edge(b);
+        }
+    }
+    return best_edge_[b];
+}
+
+void
+MaxWeightMatching::run()
+{
+    // One stage: every vertex starts exposed and roots a tree. An
+    // augmentation dissolves only the two trees it joins; the others
+    // keep their labels, so every exposed vertex stays the root of a
+    // live tree and the stage lasts until the dual step of type 1
+    // ends the solve.
+    ++stages_;
+    for (int v = 0; v < n_; ++v) {
+        assign_label(v, 1, -1);
     }
     for (;;) {
         while (!queue_.empty()) {
             const int v = queue_.back();
             queue_.pop_back();
             BTWC_DCHECK(label_[in_blossom_[v]] == 1);
-            for (int i = adj_begin_[v]; i < adj_begin_[v + 1]; ++i) {
-                const int p = adj_[i];
-                const int k = p >> 1;
-                const int w = endpoint_[p];
-                if (in_blossom_[v] == in_blossom_[w]) {
-                    continue;  // internal to a blossom
-                }
-                int64_t kslack = 0;
-                if (!allow_edge_[k]) {
-                    kslack = slack(k);
-                    if (kslack <= 0) {
-                        allow_edge_[k] = 1;
-                    }
-                }
-                if (allow_edge_[k]) {
-                    if (label_[in_blossom_[w]] == 0) {
-                        assign_label(w, 2, p ^ 1);  // grow
-                    } else if (label_[in_blossom_[w]] == 1) {
-                        const int base = scan_blossom(v, w);
-                        if (base >= 0) {
-                            add_blossom(base, k);
-                        } else {
-                            augment_matching(k);
-                            return true;
-                        }
-                    } else if (label_[w] == 0) {
-                        // w is inside a T-blossom but not yet reached.
-                        BTWC_DCHECK(label_[in_blossom_[w]] == 2);
-                        label_[w] = 2;
-                        label_end_[w] = p ^ 1;
-                    }
-                } else if (label_[in_blossom_[w]] == 1) {
-                    const int b = in_blossom_[v];
-                    if (best_edge_[b] == -1 || kslack < slack(best_edge_[b])) {
-                        best_edge_[b] = k;
-                    }
-                } else if (label_[w] == 0) {
-                    if (best_edge_[w] == -1 || kslack < slack(best_edge_[w])) {
-                        best_edge_[w] = k;
-                    }
-                }
-            }
+            scan_vertex(v);
         }
 
-        // No tight edge left to follow: pick the dual step.
-        int delta_type = -1;
-        int64_t delta = 0;
-        int delta_edge = -1;
+        // No tight edge left to follow: pick the dual step, the least
+        // of the smallest vertex dual (type 1, which wins ties and ends
+        // the solve with every exposed vertex at dual zero), the slack
+        // of an edge from a free vertex to an S-vertex (type 2), half
+        // the slack of an edge between S-blossoms (type 3) and the
+        // dual of a T-blossom (type 4). Least-slack edges that lead
+        // into a dissolved tree are re-derived first; no dual step has
+        // run since it dissolved, so an edge that still leads to an
+        // S-blossom is still least among its owner's.
+        const bool blossoms = has_blossoms();
+        const int64_t none = std::numeric_limits<int64_t>::max();
+        int64_t min_dual = none;
+        int64_t min_edge = none;
+        int64_t min_t_dual = none;
         int delta_blossom = -1;
+        candidates_.clear();
+        auto offer = [&](int k, int64_t d) {
+            candidates_.push_back({d, k});
+            min_edge = std::min(min_edge, d);
+        };
         for (int v = 0; v < n_; ++v) {
-            if (label_[in_blossom_[v]] == 0 && best_edge_[v] != -1) {
-                const int64_t d = slack(best_edge_[v]);
-                if (delta_type == -1 || d < delta) {
-                    delta = d;
-                    delta_type = 2;
-                    delta_edge = best_edge_[v];
-                }
+            min_dual = std::min(min_dual, dual_[v]);
+            const int b = in_blossom_[v];
+            const int l = label_[b];
+            if (l == 1 && b != v) {
+                continue;  // its blossom holds the S-blossom's edge
             }
-        }
-        for (int b = 0; b < n2; ++b) {
-            if (blossom_parent_[b] == -1 && label_[b] == 1 &&
-                best_edge_[b] != -1) {
-                const int64_t kslack = slack(best_edge_[b]);
-                BTWC_DCHECK(kslack % 2 == 0);
-                const int64_t d = kslack / 2;
-                if (delta_type == -1 || d < delta) {
-                    delta = d;
-                    delta_type = 3;
-                    delta_edge = best_edge_[b];
-                }
+            const int k = valid_best_edge(v);
+            if (k == -1 || l == 2) {
+                continue;  // a T-vertex's edge matters after expansion
             }
+            BTWC_DCHECK(l == 0 || slack(k) % 2 == 0);
+            offer(k, l == 0 ? slack(k) : slack(k) / 2);
         }
-        for (int b = n_; b < n2; ++b) {
-            if (blossom_base_[b] >= 0 && blossom_parent_[b] == -1 &&
-                label_[b] == 2 && (delta_type == -1 || dual_[b] < delta)) {
-                delta = dual_[b];
-                delta_type = 4;
+        for (int b = n_; blossoms && b < 2 * n_; ++b) {
+            if (blossom_base_[b] < 0 || blossom_parent_[b] != -1) {
+                continue;
+            }
+            if (label_[b] == 1 && valid_best_edge(b) != -1) {
+                offer(best_edge_[b], slack(best_edge_[b]) / 2);
+            } else if (label_[b] == 2 && dual_[b] < min_t_dual) {
+                min_t_dual = dual_[b];
                 delta_blossom = b;
             }
         }
-        if (delta_type == -1) {
-            // Maximum cardinality reached. A last step makes the
-            // optimum verifiable (audit_optimum).
-            delta_type = 1;
-            delta = std::max<int64_t>(
-                0, *std::min_element(dual_.begin(), dual_.begin() + n_));
+        // Ties go to type 1, then to edges, then to the lowest
+        // T-blossom.
+        const int64_t delta = std::min({min_dual, min_edge, min_t_dual});
+        if (min_t_dual >= std::min(min_dual, min_edge)) {
+            delta_blossom = -1;
         }
 
-        for (int v = 0; v < n_; ++v) {
+        for (int v = 0; delta > 0 && v < n_; ++v) {
             const int l = label_[in_blossom_[v]];
             if (l == 1) {
                 dual_[v] -= delta;
@@ -534,7 +657,7 @@ MaxWeightMatching::run_stage()
                 dual_[v] += delta;
             }
         }
-        for (int b = n_; b < n2; ++b) {
+        for (int b = n_; blossoms && delta > 0 && b < 2 * n_; ++b) {
             if (blossom_base_[b] >= 0 && blossom_parent_[b] == -1) {
                 if (label_[b] == 1) {
                     dual_[b] += delta;
@@ -544,21 +667,25 @@ MaxWeightMatching::run_stage()
             }
         }
 
-        if (delta_type == 1) {
-            return false;
+        if (delta == min_dual) {
+            return;  // type 1
         }
-        if (delta_type == 2) {
-            allow_edge_[delta_edge] = 1;
-            int i = endpoint_[2 * delta_edge];
-            if (label_[in_blossom_[i]] == 0) {
-                i = endpoint_[2 * delta_edge + 1];
+        if (delta_blossom >= 0) {
+            expand_blossom(delta_blossom, false);  // type 4
+            continue;
+        }
+        // Follow every least-slack edge the step made tight, not just
+        // one: with unit costs many tie. The queue is a stack, so
+        // pushing in reverse scans them in vertex order.
+        for (auto it = candidates_.rbegin(); it != candidates_.rend(); ++it) {
+            const int k = it->second;
+            if (it->first == delta) {
+                allow_edge_[k] = 1;
+                const int i = endpoint_[2 * k];
+                queue_.push_back(label_[in_blossom_[i]] == 1
+                                     ? i
+                                     : endpoint_[2 * k + 1]);
             }
-            queue_.push_back(i);
-        } else if (delta_type == 3) {
-            allow_edge_[delta_edge] = 1;
-            queue_.push_back(endpoint_[2 * delta_edge]);
-        } else {
-            expand_blossom(delta_blossom, false);
         }
     }
 }
@@ -566,9 +693,17 @@ MaxWeightMatching::run_stage()
 const std::vector<int> &
 MaxWeightMatching::solve()
 {
+    const AuditLevel audit = audit_level();
     const size_t n = static_cast<size_t>(n_);
     const size_t n2 = 2 * n;
     const size_t m = weight_.size();
+    if (audit >= AuditLevel::Basic) {
+        for (size_t k = 0; k < m; ++k) {
+            const int u = endpoint_[2 * k];
+            const int v = endpoint_[2 * k + 1];
+            BTWC_CHECK(u != v && u >= 0 && v >= 0 && u < n_ && v < n_);
+        }
+    }
     build_adjacency();
 
     // Re-arm every per-run array over the active region only.
@@ -583,15 +718,17 @@ MaxWeightMatching::solve()
     }
     mate_.assign(n, -1);
     in_blossom_.resize(n);
-    label_.resize(n2);
+    label_.assign(n2, 0);
     label_end_.assign(n2, -1);
     blossom_parent_.assign(n2, -1);
     blossom_base_.resize(n2);
-    best_edge_.resize(n2);
+    best_edge_.assign(n2, -1);
+    tree_root_.resize(n2);
     dual_.resize(n2);
     has_blossom_best_.assign(n2, 0);
     best_edge_to_.resize(n2);
-    allow_edge_.resize(m);
+    allow_edge_.assign(m, 0);
+    queue_.clear();
     unused_blossoms_.clear();
     for (int v = 0; v < n_; ++v) {
         in_blossom_[v] = v;
@@ -606,17 +743,8 @@ MaxWeightMatching::solve()
         unused_blossoms_.push_back(b);
     }
 
-    for (int stage = 0; stage < n_; ++stage) {
-        if (!run_stage()) {
-            break;
-        }
-        // End of stage: expand S-blossoms whose dual dropped to zero.
-        for (int b = n_; b < 2 * n_; ++b) {
-            if (blossom_parent_[b] == -1 && blossom_base_[b] >= 0 &&
-                label_[b] == 1 && dual_[b] == 0) {
-                expand_blossom(b, true);
-            }
-        }
+    if (n_ > 0) {
+        run();
     }
 
     total_weight_ = 0;
@@ -629,7 +757,7 @@ MaxWeightMatching::solve()
             }
         }
     }
-    if (audit_deep()) {
+    if (audit >= AuditLevel::Deep) {
         audit_optimum();
     }
     return mate_vertex_;
@@ -642,17 +770,14 @@ MaxWeightMatching::audit_optimum() const
     BTWC_CHECK_MSG(static_cast<int>(mate_.size()) == n_ &&
                        static_cast<int>(mate_vertex_.size()) == n_,
                    "matcher audit needs a solved instance");
-    const int64_t min_vertex_dual =
-        n_ == 0 ? 0 : *std::min_element(dual_.begin(), dual_.begin() + n_);
-    const int64_t offset = std::max<int64_t>(0, -min_vertex_dual);
-    for (int b = n_; b < 2 * n_; ++b) {
-        BTWC_CHECK_MSG(dual_[b] >= 0, "blossom duals must be non-negative");
+    for (int b = 0; b < 2 * n_; ++b) {
+        BTWC_CHECK_MSG(dual_[b] >= 0, "duals must be non-negative");
     }
     for (int v = 0; v < n_; ++v) {
         const int p = mate_[v];
         if (p < 0) {
-            BTWC_CHECK_MSG(dual_[v] + offset == 0,
-                           "an exposed vertex must sit at the dual floor");
+            BTWC_CHECK_MSG(dual_[v] == 0,
+                           "an exposed vertex must have a zero dual");
             continue;
         }
         BTWC_CHECK_MSG(p < 2 * m && mate_[endpoint_[p]] == (p ^ 1) &&
@@ -720,12 +845,12 @@ min_weight_perfect_matching(int n,
             max_w = std::max(max_w, weights[u][v]);
         }
     }
-    const int64_t c = max_w + 1;
+    const int64_t offset = static_cast<int64_t>(n / 2) * max_w + 1;
     MaxWeightMatching solver(n);
     for (int u = 0; u < n; ++u) {
         for (int v = u + 1; v < n; ++v) {
             if (weights[u][v] >= 0) {
-                solver.add_edge(u, v, c - weights[u][v]);
+                solver.add_edge(u, v, offset - weights[u][v]);
             }
         }
     }

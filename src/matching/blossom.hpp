@@ -2,24 +2,37 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace btwc {
 
 /**
- * Maximum-weight maximum-cardinality matching on an edge list.
+ * Maximum-weight matching on an edge list.
  *
  * Primal-dual weighted blossom algorithm in Galil's exposition, laid
  * out as in Van Rantwijk's `mwmatching`: dual variables on vertices
  * and (shrunken) odd cycles, alternating trees grown over tight edges,
  * with grow / augment / shrink / expand steps and per-blossom lists of
- * least-slack edges to neighbouring S-blossoms. Among all matchings of
- * maximum cardinality it returns one of maximum total weight, so on a
- * graph with a perfect matching the result is perfect. Integer weights
- * keep every dual integral. Each of the at most n/2 + 1 stages costs
- * O(n^2 + m) in the worst case, with m the edge count; on the sparse
- * candidate graphs `MwpmDecoder` builds (m ~ 5 n at d = 21) that is far
- * below the O(n^3) a dense solver pays regardless of m.
+ * least-slack edges to neighbouring S-blossoms. It returns a matching
+ * of maximum total weight, leaving a vertex exposed whenever matching
+ * it would not add weight; for a maximum-weight *perfect* matching
+ * raise every weight by a uniform offset (see
+ * `min_weight_perfect_matching`). Integer weights keep every dual
+ * integral.
+ *
+ * Trees are kept across augmentations, the multi-tree scheme of LEMON
+ * and Blossom V: an augmentation dissolves only the two trees it
+ * joins, expands their zero-dual S-blossoms and frees their vertices,
+ * while every other tree keeps its labels and least-slack edges. Every
+ * exposed vertex therefore roots a live tree from the first dual step
+ * to the last, so a solve runs one stage: the roots are labelled once,
+ * and the solve ends when the smallest vertex dual reaches zero. There
+ * are at most n/2 augmentations, and between two of them at most O(n)
+ * dual steps of O(n) each, plus edge scans; the bound stays
+ * O(n (n^2 + m)) with m the edge count, far below the O(n^3) a dense
+ * solver pays regardless of m on the sparse savings graphs
+ * `MwpmDecoder` builds.
  *
  * Data layout: edges are kept in insertion order; `solve()` builds a
  * CSR adjacency (each vertex lists its edges in insertion order, which
@@ -28,10 +41,9 @@ namespace btwc {
  * grown capacity of a larger earlier instance is never touched.
  *
  * This is the engine behind the paper's off-chip Minimum Weight
- * Perfect Matching decoder [19]; `min_weight_perfect_matching` below
- * performs the standard reduction. Correctness is property-tested
- * against the brute-force oracle in `matching/exact.hpp` and against a
- * dense O(V^3) reference solver kept under tests/.
+ * Perfect Matching decoder [19]. Correctness is property-tested
+ * against the brute-force oracles in `matching/exact.hpp` and tests/
+ * and against a dense O(V^3) reference solver kept under tests/.
  */
 class MaxWeightMatching
 {
@@ -52,11 +64,17 @@ class MaxWeightMatching
     void reset(int n);
 
     /**
-     * Append edge (u, v) of weight w (any sign). u != v; an edge must
-     * not be inserted twice. Insertion order breaks ties between
-     * equal-weight matchings.
+     * Append edge (u, v) of weight w (any sign; a negative-weight edge
+     * is never matched). u != v, both below n; an edge must not be
+     * inserted twice. Insertion order breaks ties between equal-weight
+     * matchings. `solve()` checks the endpoints under AuditLevel::Basic.
      */
-    void add_edge(int u, int v, int64_t w);
+    void add_edge(int u, int v, int64_t w)
+    {
+        endpoint_.push_back(u);
+        endpoint_.push_back(v);
+        weight_.push_back(w);
+    }
 
     /**
      * Run the matching. Returns the mate of each vertex (or -1); the
@@ -74,13 +92,10 @@ class MaxWeightMatching
      * complementary slackness, as `mwmatching`'s verifyOptimum does:
      * mates are mutual and lie on edges; every edge has slack >= 0
      * (vertex duals plus the duals of blossoms holding both ends) and
-     * every matched edge is tight; blossom duals are >= 0 and every
-     * blossom with a positive dual is full (all but its base matched
-     * inside it); an exposed vertex's dual is min(0, smallest vertex
-     * dual). Together these prove the matching has maximum weight
-     * among maximum-cardinality ones. The doubled decoding graph
-     * always admits a perfect matching, so there the result must be
-     * perfect, which `MwpmDecoder` checks on every decode. Throws
+     * every matched edge is tight; vertex and blossom duals are >= 0,
+     * every exposed vertex has dual 0, and every blossom with a
+     * positive dual is full (all but its base matched inside it).
+     * Together these prove the matching has maximum weight. Throws
      * CheckFailure.
      */
     void audit_optimum() const;
@@ -92,6 +107,10 @@ class MaxWeightMatching
     {
         return dual_[endpoint_[2 * k]] + dual_[endpoint_[2 * k + 1]] -
                2 * weight_[k];
+    }
+    bool has_blossoms() const
+    {
+        return unused_blossoms_.size() < static_cast<size_t>(n_);
     }
     /** Index into a blossom's cyclic child list; j in (-len, len). */
     static size_t wrap(int j, size_t len)
@@ -106,10 +125,15 @@ class MaxWeightMatching
     int scan_blossom(int v, int w);
     void add_blossom(int base, int k);
     void consider_best_edge(int b, int k);
-    void expand_blossom(int b, bool end_stage);
+    void expand_blossom(int b, bool dissolving);
     void augment_blossom(int b, int v);
     void augment_matching(int k);
-    bool run_stage();
+    void unlabel(int b);
+    void rebuild_best_edge(int b);
+    int valid_best_edge(int b);
+    void dissolve_trees(int r1, int r2);
+    void scan_vertex(int v);
+    void run();
 
     int n_ = 0;  ///< vertices of the current instance
 
@@ -129,6 +153,7 @@ class MaxWeightMatching
     std::vector<int> blossom_parent_;
     std::vector<int> blossom_base_;
     std::vector<int> best_edge_;  ///< least-slack edge to an S-blossom
+    std::vector<int> tree_root_;  ///< root vertex of a labelled blossom's tree
     std::vector<int64_t> dual_;   ///< twice the vertex duals; blossom z
     std::vector<std::vector<int>> blossom_childs_;  ///< odd cycle
     std::vector<std::vector<int>> blossom_endps_;   ///< cycle endpoints
@@ -139,6 +164,9 @@ class MaxWeightMatching
     std::vector<int> queue_;           ///< S-vertices to scan (a stack)
     std::vector<int> scan_path_;       ///< scan_blossom scratch
     std::vector<int> best_edge_to_;    ///< add_blossom scratch (2n)
+    std::vector<int> freed_;           ///< dissolve_trees scratch
+    /// run() scratch: (dual step bound, least-slack edge)
+    std::vector<std::pair<int64_t, int>> candidates_;
     std::vector<int> mate_vertex_;     ///< solve() result (n)
     int64_t total_weight_ = 0;
     // Structure counters since reset(), read by the tests that force
@@ -146,7 +174,9 @@ class MaxWeightMatching
     int blossoms_formed_ = 0;
     int nested_blossoms_ = 0;  ///< children that were blossoms
     int t_expansions_ = 0;     ///< T-blossoms expanded mid-stage
-    int s_expansions_ = 0;     ///< zero-dual S-blossoms at stage end
+    int s_expansions_ = 0;     ///< zero-dual S-blossoms of dissolved trees
+    int stages_ = 0;           ///< times every exposed vertex was rooted
+    int augmentations_ = 0;
 };
 
 /**
@@ -158,10 +188,11 @@ class MaxWeightMatching
  * @return mate vector (mate[u] == v), or an empty vector if no perfect
  *         matching exists
  *
- * Reduction: transformed weight C - w with C one more than the largest
- * weight, solved in maximum-cardinality mode: every maximum-cardinality
- * matching of a graph with a perfect matching is perfect, and among
- * perfect matchings maximizing the sum of C - w minimizes the sum of w.
+ * Reduction: edge weight L - w with the uniform offset
+ * L = (n/2) * max_w + 1. Adding one more edge then always outweighs
+ * any difference in costs, so the maximum-weight matching has maximum
+ * cardinality (perfect when a perfect matching exists), and among
+ * perfect matchings the one of maximum weight has minimum cost.
  */
 std::vector<int> min_weight_perfect_matching(
     int n, const std::vector<std::vector<int64_t>> &weights);

@@ -137,6 +137,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         return result;
     }
     BTWC_CHECK(rounds >= 1);
+    const bool audit = audit_basic();
 
     const int k = static_cast<int>(events.size());
     const size_t ks = static_cast<size_t>(k);
@@ -160,8 +161,11 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
 
     if (fast) {
         for (int i = 0; i < k; ++i) {
-            BTWC_AUDIT(events[i].round >= 0 && events[i].round < rounds);
-            BTWC_AUDIT(events[i].check >= 0 && events[i].check < num_checks_);
+            if (audit) {
+                BTWC_CHECK(events[i].round >= 0 && events[i].round < rounds);
+                BTWC_CHECK(events[i].check >= 0 &&
+                           events[i].check < num_checks_);
+            }
             boundary_dist[i] =
                 oracle->boundary_hops(events[i].check) + 1;
             for (int j = 0; j < i; ++j) {
@@ -187,8 +191,11 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         std::vector<int> &boundary_via = scratch.boundary_via;
 
         for (int i = 0; i < k; ++i) {
-            BTWC_AUDIT(events[i].round >= 0 && events[i].round < rounds);
-            BTWC_AUDIT(events[i].check >= 0 && events[i].check < num_checks_);
+            if (audit) {
+                BTWC_CHECK(events[i].round >= 0 && events[i].round < rounds);
+                BTWC_CHECK(events[i].check >= 0 &&
+                           events[i].check < num_checks_);
+            }
             dist[i].assign(num_nodes, -1);
             parent_node[i].assign(num_nodes, kNoNode);
             parent_data[i].assign(num_nodes, -1);
@@ -280,61 +287,31 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         BTWC_CHECK_MSG(total >= 0,
                        "defect graph always admits a boundary matching");
     } else {
-        // The doubled candidate graph: defects 0..k-1, boundary twins
-        // k..2k-1. Each defect gets its boundary edge (i, k+i); each
-        // pair (i, j) that is not strictly dominated by the two
-        // boundary retirements (w_ij <= b_i + b_j) gets its edge plus a
-        // zero-cost twin edge (k+i, k+j). A dominated pair is in no
-        // optimal matching, and the twins of any matched pair can pair
-        // up over the mirrored edge, so the optimum equals the one on
-        // the complete graph with a twin clique. Costs become weights
-        // C - w with C the largest cost + 1, solved at maximum
-        // cardinality: the boundary edges make a perfect matching
-        // always exist, and the perfect one of maximum weight has
-        // minimum cost. Insertion order (ascending i, then j) fixes
-        // the tie selection.
-        auto kept = [&](int i, int j) {
-            const int64_t w = defect_w[static_cast<size_t>(i) * ks + j];
-            return w >= 0 &&
-                   (boundary_dist[i] < 0 || boundary_dist[j] < 0 ||
-                    w <= boundary_dist[i] + boundary_dist[j]);
-        };
-        int64_t max_cost = 0;
-        for (int i = 0; i < k; ++i) {
-            max_cost = std::max(max_cost, boundary_dist[i]);
-            for (int j = i + 1; j < k; ++j) {
-                if (kept(i, j)) {
-                    max_cost = std::max(
-                        max_cost, defect_w[static_cast<size_t>(i) * ks + j]);
-                }
-            }
-        }
-        const int64_t c = max_cost + 1;
+        // The savings graph: one vertex per defect and, for each pair
+        // with w_ij < b_i + b_j, an edge of weight b_i + b_j - w_ij,
+        // the cost saved by pairing the two instead of retiring both
+        // to the boundary. A defect left exposed retires. Every
+        // pairing costs sum(b) - its savings, so the maximum-weight
+        // matching is the minimum-cost pairing. A pair without
+        // savings can be swapped for its two retirements at no extra
+        // cost, so leaving it out keeps the optimum. Insertion order
+        // (ascending i, then j) fixes the tie selection.
         MaxWeightMatching &solver = scratch.matcher;
-        solver.reset(2 * k);
+        solver.reset(k);
         for (int i = 0; i < k; ++i) {
-            if (boundary_dist[i] >= 0) {
-                solver.add_edge(i, k + i, c - boundary_dist[i]);
-            }
+            BTWC_CHECK_MSG(boundary_dist[i] >= 0,
+                           "every check reaches a boundary");
+            const int64_t *row = &defect_w[static_cast<size_t>(i) * ks];
             for (int j = i + 1; j < k; ++j) {
-                if (kept(i, j)) {
-                    solver.add_edge(
-                        i, j, c - defect_w[static_cast<size_t>(i) * ks + j]);
-                    solver.add_edge(k + i, k + j, c);
+                const int64_t saving =
+                    boundary_dist[i] + boundary_dist[j] - row[j];
+                if (row[j] >= 0 && saving > 0) {
+                    solver.add_edge(i, j, saving);
                 }
             }
         }
-
         const std::vector<int> &mate = solver.solve();
-        for (int v = 0; v < 2 * k; ++v) {
-            BTWC_CHECK_MSG(mate[v] >= 0,
-                           "defect graph always admits a perfect matching");
-        }
-        // A defect's only twin neighbour is its own boundary twin.
-        mate_defect.assign(ks, -1);
-        for (int i = 0; i < k; ++i) {
-            mate_defect[i] = mate[i] < k ? mate[i] : -1;
-        }
+        mate_defect.assign(mate.begin(), mate.end());
     }
 
     // Path recovery. The fast walk reproduces the legacy parent
@@ -387,8 +364,11 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             }
             --cur_d;
         }
-        BTWC_AUDIT_MSG(c == sc && r == sr,
-                       "geodesic walk must terminate at the source defect");
+        if (audit) {
+            BTWC_CHECK_MSG(c == sc && r == sr,
+                           "geodesic walk must terminate at the source "
+                           "defect");
+        }
     };
 
     auto legacy_walk_back = [&](int i, int from_node) {

@@ -35,7 +35,7 @@ struct FastPathConfig
 
     /**
      * The pre-oracle reference configuration: per-defect Dijkstra.
-     * Both configurations feed the same pruned candidate graph to the
+     * Both configurations feed the same savings graph to the
      * blossom matcher, so the property tests (tests/test_fastpath.cpp)
      * pin them bit-exact against each other.
      */
@@ -97,12 +97,13 @@ struct MwpmMatches
  * (surface/distance.hpp) under the default unit weights, or from
  * per-defect Dijkstra otherwise (see `FastPathConfig`); the pairing is
  * solved with the configured `Matcher` backend: the edge-list blossom
- * algorithm over the candidate graph (each defect also gets a boundary
- * twin, the standard construction for codes with boundaries; pairs
- * dominated by their two boundary retirements are pruned, and twins
- * are joined at zero cost only where their defects are), or the
- * brute-force subset DP of matching/exact.hpp, which is exact by
- * construction and backs the `ExactDecoder` cross-validation tier.
+ * algorithm over the savings graph (one vertex per defect; each pair
+ * i, j with w_ij < b_i + b_j gets an edge weighing the b_i + b_j - w_ij
+ * it saves over retiring both to the boundary; a maximum-weight
+ * matching pairs the matched defects and retires the rest, at minimum
+ * total cost), or the brute-force subset DP of matching/exact.hpp,
+ * which is exact by construction and backs the `ExactDecoder`
+ * cross-validation tier.
  *
  * Hot-path contract: each decoder instance owns one persistent graph /
  * matcher scratch (grown once, reused by every `decode` and
@@ -120,8 +121,8 @@ class MwpmDecoder : public Decoder
     /** Pairing engine used on the defect distance graph. */
     enum class Matcher : uint8_t
     {
-        Blossom = 0,  ///< edge-list primal-dual blossom over the pruned
-                      ///< candidate graph (production path)
+        Blossom = 0,  ///< edge-list primal-dual blossom over the
+                      ///< savings graph (production path)
         ExactDp = 1,  ///< subset DP oracle; falls back to Blossom when
                       ///< the defect count exceeds its feasible range
     };

@@ -5,14 +5,16 @@
  * random instances, including the boundary-twin construction used by
  * the MWPM decoder; sparse and infeasible graphs and larger instances
  * against the dense reference solver; hand-built instances that force
- * nested blossoms and their expansion; and the optimality-certificate
- * audit.
+ * nested blossoms and their expansion; the optimality-certificate
+ * audit; and maximum-weight semantics (exposed vertices, the decoder's
+ * savings graph) against brute force.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
@@ -20,34 +22,9 @@
 #include "matching/blossom.hpp"
 #include "matching/exact.hpp"
 #include "dense_blossom.hpp"
+#include "matching_test_util.hpp"
 
 namespace btwc {
-
-/** Test-only view of the matcher's duals, mates and counters. */
-struct MaxWeightMatchingTestPeer
-{
-    static std::vector<int64_t> &dual(MaxWeightMatching &m)
-    {
-        return m.dual_;
-    }
-    static std::vector<int> &mate(MaxWeightMatching &m) { return m.mate_; }
-    static int nested_blossoms(const MaxWeightMatching &m)
-    {
-        return m.nested_blossoms_;
-    }
-    static int t_expansions(const MaxWeightMatching &m)
-    {
-        return m.t_expansions_;
-    }
-    static int s_expansions(const MaxWeightMatching &m)
-    {
-        return m.s_expansions_;
-    }
-    static int blossoms_formed(const MaxWeightMatching &m)
-    {
-        return m.blossoms_formed_;
-    }
-};
 
 namespace {
 
@@ -205,19 +182,29 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BlossomSparse,
 
 TEST(Blossom, BoundaryTwinConstructionMatchesOracle)
 {
-    // The exact structure the MWPM decoder builds: k defects with
-    // pairwise distances, k boundary twins, twin-twin edges free.
+    // The exact structure the MWPM decoder once built: k defects with
+    // pairwise distances, k boundary twins, twin-twin edges free. The
+    // tie-heavy inputs set about half the distances to b_i + b_j, where
+    // pairing and retiring cost the same.
     Rng rng(4242);
-    for (int iter = 0; iter < 120; ++iter) {
+    for (int iter = 0; iter < 180; ++iter) {
+        const bool ties = iter >= 120;
         const int k = 2 + static_cast<int>(rng.next_below(7));
         std::vector<std::vector<int64_t>> dist(
             k, std::vector<int64_t>(k, -1));
         std::vector<int64_t> boundary(k);
-        for (int i = 0; i < k; ++i) {
+        for (int i = 0; ties && i < k; ++i) {
             boundary[i] = 1 + static_cast<int64_t>(rng.next_below(12));
+        }
+        for (int i = 0; i < k; ++i) {
+            if (!ties) {
+                boundary[i] = 1 + static_cast<int64_t>(rng.next_below(12));
+            }
             for (int j = i + 1; j < k; ++j) {
-                const int64_t v =
-                    1 + static_cast<int64_t>(rng.next_below(12));
+                int64_t v = 1 + static_cast<int64_t>(rng.next_below(12));
+                if (ties && rng.bernoulli(0.5)) {
+                    v = boundary[i] + boundary[j];
+                }
                 dist[i][j] = v;
                 dist[j][i] = v;
             }
@@ -382,16 +369,19 @@ TEST(BlossomNesting, KnownInstancesNestAndExpand)
     int s_expanded = 0;
     MaxWeightMatching matcher;
     for (const KnownInstance &inst : nesting_instances()) {
-        matcher.reset(inst.n);
+        std::vector<WeightedEdge> edges;
         int64_t want = 0;
         for (const auto &e : inst.edges) {
-            matcher.add_edge(e[0], e[1], e[2]);
+            edges.push_back({e[0], e[1], e[2]});
             if (inst.mate[e[0]] == e[1]) {
                 want += e[2];
             }
         }
-        EXPECT_EQ(matcher.solve(), inst.mate) << inst.name;
-        EXPECT_EQ(matcher.total_weight(), want) << inst.name;
+        int64_t weight = 0;
+        EXPECT_EQ(solve_with_offset(matcher, inst.n, edges, &weight),
+                  inst.mate)
+            << inst.name;
+        EXPECT_EQ(weight, want) << inst.name;
         EXPECT_GT(Peer::blossoms_formed(matcher), 0) << inst.name;
         nested += Peer::nested_blossoms(matcher);
         t_expanded += Peer::t_expansions(matcher);
@@ -416,15 +406,15 @@ TEST(BlossomNesting, RandomNestingCorpusMatchesDenseSolver)
     for (int iter = 0; iter < 200; ++iter) {
         const int n = 6 + 2 * static_cast<int>(rng.next_below(12));
         const auto w = random_sparse_weights(n, 0.6, 4, rng);
-        matcher.reset(n);
+        std::vector<WeightedEdge> edges;
         for (int u = 0; u < n; ++u) {
             for (int v = u + 1; v < n; ++v) {
                 if (w[u][v] >= 0) {
-                    matcher.add_edge(u, v, 5 - w[u][v]);  // C - w
+                    edges.push_back({u, v, 5 - w[u][v]});  // C - w
                 }
             }
         }
-        const std::vector<int> mate = matcher.solve();
+        const std::vector<int> mate = solve_with_offset(matcher, n, edges);
         const auto want = dense_min_weight_perfect_matching(n, w);
         const bool perfect =
             std::all_of(mate.begin(), mate.end(), [](int m) { return m >= 0; });
@@ -447,14 +437,10 @@ TEST(BlossomNesting, RandomNestingCorpusMatchesDenseSolver)
 void
 solve_audit_fixture(MaxWeightMatching &matcher)
 {
-    matcher.reset(6);
-    matcher.add_edge(0, 1, 6);
-    matcher.add_edge(1, 2, 6);
-    matcher.add_edge(0, 2, 6);
-    matcher.add_edge(2, 3, 5);
-    matcher.add_edge(3, 4, 4);
-    matcher.add_edge(4, 5, 3);
-    ASSERT_EQ(matcher.solve(), (std::vector<int>{1, 0, 3, 2, 5, 4}));
+    const std::vector<WeightedEdge> edges = {
+        {0, 1, 6}, {1, 2, 6}, {0, 2, 6}, {2, 3, 5}, {3, 4, 4}, {4, 5, 3}};
+    ASSERT_EQ(solve_with_offset(matcher, 6, edges),
+              (std::vector<int>{1, 0, 3, 2, 5, 4}));
     ASSERT_NO_THROW(matcher.audit_optimum());
 }
 
@@ -491,6 +477,165 @@ TEST(BlossomAudit, CorruptedMateIsDetected)
     std::vector<int> &mate = Peer::mate(matcher);
     mate[4] = mate[3];
     EXPECT_THROW(matcher.audit_optimum(), CheckFailure);
+}
+
+// ------------------------------------------- maximum-weight semantics
+
+constexpr int64_t kNoEdge = INT64_MIN;
+
+/** Maximum matching weight by exhaustive subset search (n <= ~14). */
+int64_t
+brute_max_weight(int n, const std::vector<std::vector<int64_t>> &w)
+{
+    std::vector<int64_t> best(size_t(1) << n, 0);
+    for (size_t mask = 1; mask < best.size(); ++mask) {
+        int i = 0;
+        while (!(mask >> i & 1)) {
+            ++i;
+        }
+        const size_t rest = mask ^ (size_t(1) << i);
+        int64_t value = best[rest];  // i stays exposed
+        for (int j = i + 1; j < n; ++j) {
+            if ((rest >> j & 1) && w[i][j] != kNoEdge) {
+                value = std::max(value,
+                                 w[i][j] + best[rest ^ (size_t(1) << j)]);
+            }
+        }
+        best[mask] = value;
+    }
+    return best.back();
+}
+
+/** Solve `w` (kNoEdge marks a missing edge) and check the result. */
+void
+expect_max_weight(MaxWeightMatching &matcher, int n,
+                  const std::vector<std::vector<int64_t>> &w,
+                  int *exposed)
+{
+    matcher.reset(n);
+    for (int u = 0; u < n; ++u) {
+        for (int v = u + 1; v < n; ++v) {
+            if (w[u][v] != kNoEdge) {
+                matcher.add_edge(u, v, w[u][v]);
+            }
+        }
+    }
+    const std::vector<int> &mate = matcher.solve();
+    int64_t total = 0;
+    for (int u = 0; u < n; ++u) {
+        if (mate[u] < 0) {
+            ++*exposed;
+            continue;
+        }
+        ASSERT_EQ(mate[mate[u]], u);
+        ASSERT_NE(w[u][mate[u]], kNoEdge) << "matched a non-edge";
+        total += mate[u] > u ? w[u][mate[u]] : 0;
+    }
+    ASSERT_EQ(total, matcher.total_weight());
+    ASSERT_EQ(total, brute_max_weight(n, w));
+}
+
+TEST(BlossomMaxWeight, PathKeepsOnlyTheMiddleEdge)
+{
+    // Path 0-1-2-3 weighing 1, 5, 1: the perfect matching weighs 2,
+    // the maximum-weight one takes the middle edge alone.
+    ScopedAuditLevel deep(AuditLevel::Deep);
+    MaxWeightMatching matcher(4);
+    matcher.add_edge(0, 1, 1);
+    matcher.add_edge(1, 2, 5);
+    matcher.add_edge(2, 3, 1);
+    EXPECT_EQ(matcher.solve(), (std::vector<int>{-1, 2, 1, -1}));
+    EXPECT_EQ(matcher.total_weight(), 5);
+}
+
+TEST(BlossomMaxWeight, TBlossomStepYieldsToSmallerEdgeStep)
+{
+    // Found by a randomized stress run: a dual step once took a
+    // T-blossom's dual as its size even when an S-blossom later in the
+    // scan bounded the step lower, so it expanded a blossom whose dual
+    // was still positive and broke the optimality certificate.
+    ScopedAuditLevel deep(AuditLevel::Deep);
+    const int n = 19;
+    const std::vector<WeightedEdge> edges = {
+        {0, 1, 20},  {0, 2, 14},   {0, 3, 20},   {1, 4, 32},
+        {5, 3, 25},  {5, 6, 25},   {7, 8, 31},   {7, 9, 55},
+        {7, 10, 38}, {7, 11, 28},  {8, 9, 48},   {12, 13, 44},
+        {12, 14, 55}, {15, 16, 46}, {15, 17, 50}, {16, 17, 30},
+        {17, 18, 35}, {17, 14, 56}, {10, 13, 51}, {18, 2, 28},
+        {18, 4, 43}, {11, 6, 23}};
+    std::vector<std::vector<int64_t>> w(n, std::vector<int64_t>(n, kNoEdge));
+    for (const WeightedEdge &e : edges) {
+        w[e.u][e.v] = w[e.v][e.u] = e.w;
+    }
+    MaxWeightMatching matcher;
+    int exposed = 0;
+    expect_max_weight(matcher, n, w, &exposed);
+    EXPECT_EQ(matcher.total_weight(), 343);
+}
+
+TEST(BlossomMaxWeight, RandomGraphsMatchBruteForce)
+{
+    // Graphs of up to 12 vertices with few distinct weights (ties),
+    // zero and negative ones, whose optimum usually leaves vertices
+    // exposed; every solve certifies itself under deep audit.
+    ScopedAuditLevel deep(AuditLevel::Deep);
+    Rng rng(5150);
+    MaxWeightMatching matcher;
+    int exposed = 0;
+    for (int iter = 0; iter < 1500; ++iter) {
+        const int n = 1 + static_cast<int>(rng.next_below(12));
+        const double keep = 0.15 + 0.15 * static_cast<double>(iter % 6);
+        const int64_t spread = 1 + static_cast<int64_t>(iter % 9);
+        std::vector<std::vector<int64_t>> w(
+            n, std::vector<int64_t>(n, kNoEdge));
+        for (int u = 0; u < n; ++u) {
+            for (int v = u + 1; v < n; ++v) {
+                if (rng.bernoulli(keep)) {
+                    w[u][v] = w[v][u] =
+                        static_cast<int64_t>(rng.next_below(spread + 3)) - 2;
+                }
+            }
+        }
+        expect_max_weight(matcher, n, w, &exposed);
+        if (HasFatalFailure()) {
+            FAIL() << "iter=" << iter << " n=" << n;
+        }
+    }
+    EXPECT_GT(exposed, 1500);
+}
+
+TEST(BlossomMaxWeight, SavingsGraphMatchesBoundaryOracle)
+{
+    // The decoder's reduction on tie-heavy boundary instances: about
+    // half the pairs cost exactly b_i + b_j and get no savings edge.
+    // Sum(b) minus the matched savings must equal the subset-DP and the
+    // dense twin-graph optimum.
+    ScopedAuditLevel deep(AuditLevel::Deep);
+    Rng rng(6061);
+    MaxWeightMatching matcher;
+    for (int iter = 0; iter < 400; ++iter) {
+        const int k = 1 + static_cast<int>(rng.next_below(12));
+        std::vector<int64_t> boundary(k);
+        for (int i = 0; i < k; ++i) {
+            boundary[i] = 1 + static_cast<int64_t>(rng.next_below(6));
+        }
+        std::vector<std::vector<int64_t>> dist(
+            k, std::vector<int64_t>(k, -1));
+        for (int i = 0; i < k; ++i) {
+            for (int j = i + 1; j < k; ++j) {
+                const int64_t sum = boundary[i] + boundary[j];
+                dist[i][j] = dist[j][i] =
+                    rng.bernoulli(0.5)
+                        ? sum
+                        : 1 + static_cast<int64_t>(rng.next_below(sum + 2));
+            }
+        }
+        const int64_t got = savings_graph_cost(matcher, dist, boundary);
+        ASSERT_EQ(got, exact_min_weight_with_boundary(k, dist, boundary))
+            << "iter=" << iter << " k=" << k;
+        ASSERT_EQ(got, dense_boundary_matching_cost(dist, boundary))
+            << "iter=" << iter << " k=" << k;
+    }
 }
 
 TEST(ExactOracle, TinyCasesByHand)

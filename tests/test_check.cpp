@@ -26,9 +26,11 @@
 #include "core/offchip_service.hpp"
 #include "decoders/tier_chain.hpp"
 #include "matching/blossom.hpp"
+#include "matching/mwpm.hpp"
 #include "surface/distance.hpp"
 #include "surface/lattice.hpp"
 #include "surface/packed.hpp"
+#include "matching_test_util.hpp"
 
 namespace btwc {
 
@@ -179,25 +181,43 @@ TEST(MatcherAudit, ResetRestoresSlotsAcrossShrinkAndGrow)
     // solve certifying its own optimum (solve() self-audits).
     ScopedAuditLevel deep(AuditLevel::Deep);
     MaxWeightMatching matcher;
-    matcher.reset(6);
-    matcher.add_edge(0, 1, 5);
-    matcher.add_edge(2, 3, 4);
-    matcher.add_edge(4, 5, 3);
-    matcher.add_edge(1, 2, 7);
-    matcher.add_edge(0, 2, 6);  // odd cycle 0-1-2
-    EXPECT_EQ(matcher.solve(), (std::vector<int>{1, 0, 3, 2, 5, 4}));
+    EXPECT_EQ(solve_with_offset(matcher, 6,
+                                {{0, 1, 5},
+                                 {2, 3, 4},
+                                 {4, 5, 3},
+                                 {1, 2, 7},
+                                 {0, 2, 6}}),  // odd cycle 0-1-2
+              (std::vector<int>{1, 0, 3, 2, 5, 4}));
 
-    matcher.reset(4);  // shrink
-    matcher.add_edge(0, 1, 2);
-    matcher.add_edge(2, 3, 2);
-    EXPECT_EQ(matcher.solve(), (std::vector<int>{1, 0, 3, 2}));
+    // shrink
+    EXPECT_EQ(solve_with_offset(matcher, 4, {{0, 1, 2}, {2, 3, 2}}),
+              (std::vector<int>{1, 0, 3, 2}));
     EXPECT_NO_THROW(matcher.audit_optimum());
 
-    matcher.reset(8);  // grow
-    matcher.add_edge(6, 7, 1);
-    EXPECT_EQ(matcher.solve(),
+    // grow
+    EXPECT_EQ(solve_with_offset(matcher, 8, {{6, 7, 1}}),
               (std::vector<int>{-1, -1, -1, -1, -1, -1, 7, 6}));
     EXPECT_NO_THROW(matcher.audit_optimum());
+}
+
+TEST(MatcherAudit, BadEdgesAndEventsThrowAtBasic)
+{
+    // The matcher and the decoder read the audit level once per solve
+    // or decode; at Basic they still reject bad edges and events.
+    ScopedAuditLevel basic(AuditLevel::Basic);
+    MaxWeightMatching matcher(3);
+    matcher.add_edge(0, 3, 1);  // vertex 3 is out of range
+    EXPECT_THROW(matcher.solve(), CheckFailure);
+    matcher.reset(3);
+    matcher.add_edge(1, 1, 1);  // a loop
+    EXPECT_THROW(matcher.solve(), CheckFailure);
+
+    const RotatedSurfaceCode code(3);
+    const MwpmDecoder decoder(code, CheckType::Z);
+    EXPECT_THROW(decoder.decode({DetectionEvent{0, 2}}, 2), CheckFailure);
+    EXPECT_THROW(
+        decoder.decode({DetectionEvent{code.num_checks(CheckType::Z), 0}}, 1),
+        CheckFailure);
 }
 
 // --------------------------------------------------- off-chip queue

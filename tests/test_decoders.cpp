@@ -26,6 +26,7 @@
 #include "sim/memory.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
+#include "matching_test_util.hpp"
 
 namespace btwc {
 namespace {
@@ -169,6 +170,15 @@ TEST(ExactDecoder, MatchesBlossomOverMultipleRounds)
         EXPECT_EQ(blossom.decode(events, rounds).weight,
                   exact.decode(events, rounds).weight)
             << "iter=" << iter;
+    }
+    // Tie-heavy windows: pairs with w_ij == b_i + b_j, which the
+    // blossom's savings graph leaves out.
+    for (int iter = 0; iter < 50; ++iter) {
+        const std::vector<DetectionEvent> events =
+            tie_heavy_events(code, CheckType::Z, rounds, 1 + iter % 5, rng);
+        EXPECT_EQ(blossom.decode(events, rounds).weight,
+                  exact.decode(events, rounds).weight)
+            << "tie iter=" << iter;
     }
 }
 

@@ -27,6 +27,7 @@
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 #include "dense_blossom.hpp"
+#include "matching_test_util.hpp"
 
 namespace btwc {
 namespace {
@@ -194,10 +195,14 @@ expect_bit_exact_with_legacy(const FastPathConfig &probe,
                 Rng rng(salt + 1000 * static_cast<uint64_t>(d) +
                         10 * static_cast<uint64_t>(det) +
                         static_cast<uint64_t>(rounds));
-                for (int iter = 0; iter < 60; ++iter) {
+                // Sampled windows, then tie-heavy ones (pairs with
+                // w_ij == b_i + b_j, which get no savings edge).
+                for (int iter = 0; iter < 75; ++iter) {
                     const double p = 0.01 + 0.01 * (iter % 5);
                     const std::vector<DetectionEvent> events =
-                        sample_events(code, det, rounds, p, rng);
+                        iter < 60 ? sample_events(code, det, rounds, p, rng)
+                                  : tie_heavy_events(code, det, rounds,
+                                                     1 + iter % 6, rng);
                     const auto a = fast.decode(events, rounds);
                     const auto b = legacy.decode(events, rounds);
                     ASSERT_EQ(a.weight, b.weight)
@@ -291,10 +296,16 @@ TEST(MwpmFastPath, StreamD21ShapedCorpusMatchesDenseOracle)
     const int rounds = 21;
     const RotatedSurfaceCode code(d);
     const MwpmDecoder decoder(code, CheckType::Z);
+    const CheckGraphDistances &oracle = code.check_distances(CheckType::Z);
     Rng rng(2103);
     const double ps[] = {1e-3, 1.5e-3, 2.2e-3};
     size_t largest = 0;
     int windows = 0;
+    // The same windows on a standalone matcher: trees outlive
+    // augmentations, so a solve is one stage of many augmentations.
+    MaxWeightMatching matcher;
+    int64_t stages = 0;
+    int64_t augmentations = 0;
     for (int iter = 0; iter < 1200; ++iter) {
         const std::vector<DetectionEvent> events =
             sample_events(code, CheckType::Z, rounds, ps[iter % 3], rng);
@@ -306,9 +317,26 @@ TEST(MwpmFastPath, StreamD21ShapedCorpusMatchesDenseOracle)
         const auto got = decoder.decode(events, rounds);
         ASSERT_EQ(got.weight, dense_oracle_weight(code, CheckType::Z, events))
             << "iter=" << iter << " k=" << events.size();
+
+        const size_t k = events.size();
+        std::vector<std::vector<int64_t>> dist(k, std::vector<int64_t>(k));
+        std::vector<int64_t> boundary(k);
+        for (size_t i = 0; i < k; ++i) {
+            boundary[i] = oracle.boundary_hops(events[i].check) + 1;
+            for (size_t j = 0; j < k; ++j) {
+                dist[i][j] =
+                    oracle.distance(events[i].check, events[j].check) +
+                    std::abs(events[i].round - events[j].round);
+            }
+        }
+        ASSERT_EQ(savings_graph_cost(matcher, dist, boundary), got.weight);
+        stages += MaxWeightMatchingTestPeer::stages(matcher);
+        augmentations += MaxWeightMatchingTestPeer::augmentations(matcher);
     }
     EXPECT_GE(windows, 1000);
     EXPECT_GE(largest, 50u) << "corpus must reach the defect-count tail";
+    EXPECT_EQ(stages, windows);
+    EXPECT_GT(augmentations, stages);
 }
 
 TEST(MwpmFastPath, ExactDpBackendBitExactWithLegacy)
@@ -414,19 +442,23 @@ TEST(BlossomReset, PooledSolverMatchesFreshAcrossRandomInstances)
             }
         }
         const int64_t big = total + 1;
-        pooled.reset(n);
-        MaxWeightMatching fresh(n);
+        std::vector<WeightedEdge> edges;
         for (int u = 0; u < n; ++u) {
             for (int v = u + 1; v < n; ++v) {
                 if (w[u][v] >= 0) {
-                    pooled.add_edge(u, v, big - w[u][v]);
-                    fresh.add_edge(u, v, big - w[u][v]);
+                    edges.push_back({u, v, big - w[u][v]});
                 }
             }
         }
-        const std::vector<int> mf = fresh.solve();
-        const std::vector<int> mp = pooled.solve();
+        MaxWeightMatching fresh(n);
+        int64_t fresh_weight = 0;
+        int64_t pooled_weight = 0;
+        const std::vector<int> mf =
+            solve_with_offset(fresh, n, edges, &fresh_weight);
+        const std::vector<int> mp =
+            solve_with_offset(pooled, n, edges, &pooled_weight);
         ASSERT_EQ(mp, mf) << "iter=" << iter << " n=" << n;
+        ASSERT_EQ(pooled_weight, fresh_weight) << "iter=" << iter;
         ASSERT_EQ(pooled.total_weight(), fresh.total_weight())
             << "iter=" << iter;
     }
@@ -437,13 +469,19 @@ TEST(BlossomReset, ResetZeroAndRegrowIsSafe)
     MaxWeightMatching solver;
     solver.reset(0);
     EXPECT_TRUE(solver.solve().empty());
-    solver.reset(2);
-    solver.add_edge(0, 1, 5);
-    const std::vector<int> mate = solver.solve();
+    int64_t weight = 0;
+    const std::vector<int> &last =
+        solve_with_offset(solver, 2, {{0, 1, 5}}, &weight);
+    const std::vector<int> mate = last;
     ASSERT_EQ(mate.size(), 2u);
     EXPECT_EQ(mate[0], 1);
     EXPECT_EQ(mate[1], 0);
-    EXPECT_EQ(solver.total_weight(), 5);
+    EXPECT_EQ(weight, 5);
+    // A reset solver is indistinguishable from a fresh one: no weight
+    // and no mates survive from the previous instance.
+    solver.reset(2);
+    EXPECT_EQ(solver.total_weight(), 0);
+    EXPECT_TRUE(last.empty());
 }
 
 // ---------------------------------------------- the lookup-table tier
