@@ -354,6 +354,18 @@ echo "== dense windows: stream-d21 at p=5e-3 under deep audits =="
 echo "stream-d21 p=5e-3 deep-audit run OK"
 
 echo
+echo "== aged frame: stream-d21 over 20k rounds under deep audits =="
+# A memory stream never corrects its frame before the final flush, so
+# after 20k rounds at p=1e-3 the error sits near half weight. Under
+# deep audits every round re-derives the frame's syndrome and logical
+# parity from its error and compares them with the maintained state;
+# the run must complete (exit 0).
+./build-release/btwc_run "kind=stream,d=21,p=1e-3,window=21,overlap=7,cycles=20000" \
+    --threads 1 --audit deep --json build-release/BENCH_stream_d21_aged.json \
+    > /dev/null
+echo "stream-d21 aged-frame deep-audit run OK"
+
+echo
 echo "== micro benchmarks: micro_decoders -> BENCH_decoders.json =="
 # Matcher/decoder microbenchmarks join the perf trajectory next to the
 # scenario Report. --benchmark_min_time is pinned so archived numbers

@@ -168,7 +168,7 @@ BtwcSystem::step()
             request.distance = code_.distance();
             request.oracle = config_.offchip == OffchipPolicy::Oracle;
             if (request.oracle) {
-                request.payload = frame.error();
+                frame.error_packed().to_bytes(request.payload);
             } else {
                 halves_[t].filter.filtered().to_bytes(request.payload);
             }
@@ -212,6 +212,9 @@ BtwcSystem::audit_packed_state() const
     for (const Half &half : halves_) {
         half.raw.audit();
         half.filter.filtered().audit();
+    }
+    for (const ErrorFrame &frame : frames_) {
+        frame.audit();
     }
 }
 

@@ -280,9 +280,10 @@ class BtwcSystem
     }
 
     /**
-     * Verify the per-cycle syndrome/filter tail-word invariants (the
-     * link audits its own request table). Runs at the end of step()
-     * under AuditLevel::Deep; throws CheckFailure.
+     * Verify the per-cycle syndrome/filter tail-word invariants and
+     * each frame's maintained syndrome and logical parity (the link
+     * audits its own request table). Runs at the end of step() under
+     * AuditLevel::Deep; throws CheckFailure.
      */
     void audit_packed_state() const;
 

@@ -175,8 +175,8 @@ run_fabric(const FabricFleetConfig &config)
                         fabric.link_of(static_cast<int>(q)))),
                     static_cast<int>(q));
             }
-            // One probe per code distance; probing copies frames, so
-            // the run is bit-identical with probing off (tested).
+            // One probe per code distance; probing only reads frames,
+            // so the run is bit-identical with probing off (tested).
             std::map<int, LogicalFailureProbe> probes_by_distance;
             probes_by_distance.try_emplace(fleet.distance, code);
             for (const auto &[d, extra] : extra_codes) {

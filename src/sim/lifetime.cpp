@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/clique.hpp"
 #include "sim/engine.hpp"
@@ -140,6 +141,7 @@ run_signature(const LifetimeConfig &config)
 
     TierChain::Options chain_options;
     chain_options.stop_before_offchip = true;
+    const bool deep = audit_deep();
 
     for (uint64_t cycle = 0; cycle < config.cycles; ++cycle) {
         CliqueVerdict verdict = CliqueVerdict::AllZeros;
@@ -148,6 +150,9 @@ run_signature(const LifetimeConfig &config)
         for (Half &half : halves) {
             half.frame.reset();
             half.frame.inject(config.p, rng);
+            if (deep) {
+                half.frame.audit();
+            }
             // `filter_rounds` noisy measurements of the same error
             // state; the filtered signature is their AND (Fig. 7),
             // word-wide on the packed fast path.

@@ -1,40 +1,27 @@
 #include "surface/frame.hpp"
 
+#include "common/check.hpp"
+
 namespace btwc {
 
-ErrorFrame::ErrorFrame(const RotatedSurfaceCode &code, CheckType error_type)
-    : code_(code), error_type_(error_type),
-      detector_(detector_of_error(error_type)),
-      err_(static_cast<size_t>(code.num_data()), 0),
-      packed_(code.num_data())
-{
-}
+namespace {
 
+/**
+ * Call hit(i) for each i in [0, n) independently with probability p,
+ * in ascending order, by geometric gap skipping: O(n p + 1) draws.
+ * Injection and both measurement forms share it, so they consume the
+ * RNG stream identically.
+ */
+template <typename Hit>
 void
-ErrorFrame::reset()
-{
-    std::fill(err_.begin(), err_.end(), 0);
-    packed_.clear();
-}
-
-void
-ErrorFrame::flip(int data)
-{
-    err_[data] ^= 1;
-    packed_.flip(data);
-}
-
-void
-ErrorFrame::inject(double p, Rng &rng)
+for_each_bernoulli(uint64_t n, double p, Rng &rng, Hit &&hit)
 {
     if (p <= 0.0) {
         return;
     }
-    const uint64_t n = err_.size();
     uint64_t i = rng.geometric(p);
     while (i < n) {
-        err_[i] ^= 1;
-        packed_.flip(static_cast<int>(i));
+        hit(static_cast<int>(i));
         const uint64_t gap = rng.geometric(p);
         if (gap >= n - i) {
             break;
@@ -43,22 +30,70 @@ ErrorFrame::inject(double p, Rng &rng)
     }
 }
 
+} // namespace
+
+ErrorFrame::ErrorFrame(const RotatedSurfaceCode &code, CheckType error_type)
+    : code_(code), error_type_(error_type),
+      detector_(detector_of_error(error_type)), packed_(code.num_data()),
+      syndrome_(code.num_checks(detector_)), logical_mask_(code.num_data())
+{
+    // The residual fails the logical qubit when it anticommutes with
+    // the opposite type's logical operator, i.e. on odd overlap with
+    // that operator's support.
+    for (const int data : code.logical_support(detector_)) {
+        logical_mask_.set(data);
+    }
+}
+
+void
+ErrorFrame::toggle(int data)
+{
+    packed_.flip(data);
+    for (const int check : code_.checks_of_data(detector_, data)) {
+        syndrome_.flip(check);
+    }
+    logical_parity_ ^= logical_mask_.test(data);
+}
+
+void
+ErrorFrame::reset()
+{
+    packed_.clear();
+    syndrome_.clear();
+    logical_parity_ = false;
+}
+
+void
+ErrorFrame::flip(int data)
+{
+    BTWC_DCHECK(data >= 0 && data < packed_.size());
+    toggle(data);
+}
+
+void
+ErrorFrame::inject(double p, Rng &rng)
+{
+    for_each_bernoulli(static_cast<uint64_t>(packed_.size()), p, rng,
+                       [this](int data) { toggle(data); });
+}
+
 void
 ErrorFrame::apply(const std::vector<int> &corrections)
 {
     for (const int data : corrections) {
-        err_[data] ^= 1;
-        packed_.flip(data);
+        BTWC_DCHECK(data >= 0 && data < packed_.size());
+        toggle(data);
     }
 }
 
 void
 ErrorFrame::apply_mask(const std::vector<uint8_t> &mask)
 {
-    for (size_t i = 0; i < err_.size(); ++i) {
+    BTWC_CHECK_MSG(mask.size() == static_cast<size_t>(packed_.size()),
+                   "a correction mask has one entry per data qubit");
+    for (size_t i = 0; i < mask.size(); ++i) {
         if (mask[i] & 1) {
-            err_[i] ^= 1;
-            packed_.flip(static_cast<int>(i));
+            toggle(static_cast<int>(i));
         }
     }
 }
@@ -66,77 +101,33 @@ ErrorFrame::apply_mask(const std::vector<uint8_t> &mask)
 void
 ErrorFrame::apply_packed(const PackedBits &mask)
 {
-    // Sparse mirror update first, then the word-wide XOR.
-    mask.for_each_set([this](int data) { err_[data] ^= 1; });
-    packed_ ^= mask;
+    BTWC_CHECK_MSG(mask.size() == packed_.size(),
+                   "a packed correction mask has one bit per data qubit");
+    mask.for_each_set([this](int data) { toggle(data); });
 }
 
 void
 ErrorFrame::measure(double p_meas, Rng &rng, std::vector<uint8_t> &out) const
 {
-    code_.syndrome_of(detector_, err_, out);
-    if (p_meas <= 0.0) {
-        return;
-    }
-    const uint64_t n = out.size();
-    uint64_t i = rng.geometric(p_meas);
-    while (i < n) {
-        out[i] ^= 1;
-        const uint64_t gap = rng.geometric(p_meas);
-        if (gap >= n - i) {
-            break;
-        }
-        i += gap + 1;
-    }
+    syndrome_.to_bytes(out);
+    for_each_bernoulli(out.size(), p_meas, rng,
+                       [&out](int check) { out[check] ^= 1; });
 }
 
 void
 ErrorFrame::measure_packed(double p_meas, Rng &rng,
                            PackedSyndrome &out) const
 {
-    out.reset(code_.num_checks(detector_));
-    // Sparse extraction: each flipped qubit toggles its owning checks.
-    // Every data qubit belongs to 1-2 checks per type, so a weight-w
-    // error costs O(w) toggles instead of the O(num_checks x support)
-    // dense parity sweep.
-    packed_.for_each_set([this, &out](int data) {
-        for (const int check : code_.checks_of_data(detector_, data)) {
-            out.flip(check);
-        }
-    });
-    if (p_meas <= 0.0) {
-        return;
-    }
-    // Identical geometric gap-skipping walk (and therefore identical
-    // RNG stream) as the byte path: Monte-Carlo runs stay bit-exact.
-    const uint64_t n = static_cast<uint64_t>(out.size());
-    uint64_t i = rng.geometric(p_meas);
-    while (i < n) {
-        out.flip(static_cast<int>(i));
-        const uint64_t gap = rng.geometric(p_meas);
-        if (gap >= n - i) {
-            break;
-        }
-        i += gap + 1;
-    }
+    // Same width, so the copy reuses out's words: no allocation.
+    out = syndrome_;
+    for_each_bernoulli(static_cast<uint64_t>(out.size()), p_meas, rng,
+                       [&out](int check) { out.flip(check); });
 }
 
 void
 ErrorFrame::measure_perfect(std::vector<uint8_t> &out) const
 {
-    code_.syndrome_of(detector_, err_, out);
-}
-
-bool
-ErrorFrame::syndrome_clear() const
-{
-    syndrome_scratch_.reset(code_.num_checks(detector_));
-    packed_.for_each_set([this](int data) {
-        for (const int check : code_.checks_of_data(detector_, data)) {
-            syndrome_scratch_.flip(check);
-        }
-    });
-    return syndrome_scratch_.none();
+    syndrome_.to_bytes(out);
 }
 
 int
@@ -145,10 +136,30 @@ ErrorFrame::weight() const
     return packed_.popcount();
 }
 
-bool
-ErrorFrame::logical_flipped() const
+void
+ErrorFrame::audit() const
 {
-    return code_.logical_flipped(error_type_, err_);
+    packed_.audit();
+    syndrome_.audit();
+    BTWC_CHECK_MSG(packed_.size() == code_.num_data() &&
+                       syndrome_.size() == code_.num_checks(detector_),
+                   "ErrorFrame widths match its code");
+    PackedSyndrome derived(code_.num_checks(detector_));
+    packed_.for_each_set([this, &derived](int data) {
+        for (const int check : code_.checks_of_data(detector_, data)) {
+            derived.flip(check);
+        }
+    });
+    BTWC_CHECK_MSG(derived == syndrome_,
+                   "ErrorFrame's maintained syndrome equals the "
+                   "syndrome of its error");
+    bool parity = false;
+    for (const int data : code_.logical_support(detector_)) {
+        parity ^= packed_.test(data);
+    }
+    BTWC_CHECK_MSG(parity == logical_parity_,
+                   "ErrorFrame's maintained logical parity equals the "
+                   "error's parity over the dual logical support");
 }
 
 } // namespace btwc

@@ -17,11 +17,15 @@ namespace btwc {
  * detecting check type, optionally with measurement flips. This is the
  * "Pauli frame" of one half of the independently-decoded lattice.
  *
- * The error state is held twice: a byte-per-qubit vector (`error()`,
- * the legacy representation every byte-path consumer reads) and a
- * bit-packed mirror (`error_packed()`). Every mutator keeps the two in
- * sync; the packed mirror is what makes `measure_packed` O(weight)
- * instead of O(num_checks x support) and `weight()` a popcount.
+ * The frame holds the bit-packed error (`error_packed()`) and keeps
+ * two things derived from it current: the noiseless syndrome of the
+ * detector type (`syndrome()`) and the error's parity over the dual
+ * logical support (`logical_flipped()`). Every mutator goes through
+ * one private `toggle`, which flips the error bit, the qubit's 1-2
+ * owning checks and, on the logical support, the parity bit. Reading
+ * the syndrome therefore costs a word copy however heavy the error
+ * has grown, and `weight()` is a popcount. `audit()` re-derives both
+ * from the error.
  */
 class ErrorFrame
 {
@@ -38,7 +42,7 @@ class ErrorFrame
     /** Clear all errors. */
     void reset();
 
-    /** Toggle the error on one data qubit. */
+    /** Toggle the error on one data qubit (`data < num_data()`). */
     void flip(int data);
 
     /**
@@ -50,10 +54,16 @@ class ErrorFrame
     /** Apply a correction: toggle every listed data qubit. */
     void apply(const std::vector<int> &corrections);
 
-    /** Apply a correction mask (one byte per data qubit). */
+    /**
+     * Apply a correction mask (one byte per data qubit). Throws
+     * CheckFailure unless the mask has exactly num_data() entries.
+     */
     void apply_mask(const std::vector<uint8_t> &mask);
 
-    /** Apply a packed correction mask (one bit per data qubit). */
+    /**
+     * Apply a packed correction mask (one bit per data qubit). Throws
+     * CheckFailure unless the mask is num_data() bits wide.
+     */
     void apply_packed(const PackedBits &mask);
 
     /**
@@ -65,18 +75,22 @@ class ErrorFrame
 
     /**
      * Packed equivalent of `measure`: bit-exact with the byte form
-     * (same syndrome, same RNG consumption) but O(error weight) for
-     * the extraction — each flipped qubit toggles its 1-2 owning
-     * checks via the incidence lists — and allocation-free once `out`
-     * has the check width (the per-`BtwcSystem::Half` scratch idiom).
+     * (same syndrome, same RNG consumption). The noiseless part is a
+     * word copy of the maintained syndrome, so the cost is the check
+     * width plus the measurement flips, independent of the error
+     * weight; allocation-free once `out` has the check width (the
+     * per-`BtwcSystem::Half` scratch idiom).
      */
     void measure_packed(double p_meas, Rng &rng, PackedSyndrome &out) const;
 
     /** Noiseless measurement round. */
     void measure_perfect(std::vector<uint8_t> &out) const;
 
+    /** The noiseless syndrome of the current error, one bit per check. */
+    const PackedSyndrome &syndrome() const { return syndrome_; }
+
     /** True when the noiseless syndrome is all zero. */
-    bool syndrome_clear() const;
+    bool syndrome_clear() const { return syndrome_.none(); }
 
     /** Number of data qubits currently in error. */
     int weight() const;
@@ -86,26 +100,34 @@ class ErrorFrame
      * logical operator. Meaningful as a *failure* indicator only when
      * the syndrome is clear.
      */
-    bool logical_flipped() const;
+    bool logical_flipped() const { return logical_parity_; }
 
-    /** Raw per-qubit error indicators. */
-    const std::vector<uint8_t> &error() const { return err_; }
-
-    /** Bit-packed per-qubit error indicators (mirror of error()). */
+    /** Bit-packed per-qubit error indicators. */
     const PackedBits &error_packed() const { return packed_; }
+
+    /**
+     * Re-derive the syndrome and the logical parity from the error
+     * (an incidence walk over its set bits, a walk over the dual
+     * logical support) and compare them with the maintained state;
+     * also checks the packed tail invariants. Costs O(error weight +
+     * d); callers run it at AuditLevel::Deep. Throws CheckFailure.
+     */
+    void audit() const;
 
     /** The underlying code. */
     const RotatedSurfaceCode &code() const { return code_; }
 
   private:
+    /** Flip one qubit's error bit and everything derived from it. */
+    void toggle(int data);
+
     const RotatedSurfaceCode &code_;
     CheckType error_type_;
     CheckType detector_;
-    std::vector<uint8_t> err_;
     PackedBits packed_;
-    // Reused by the const syndrome_clear() query; frames are not
-    // concurrency-safe per instance (each engine shard owns its own).
-    mutable PackedSyndrome syndrome_scratch_;
+    PackedSyndrome syndrome_;  ///< noiseless syndrome of packed_
+    PackedBits logical_mask_;  ///< dual logical support, built once
+    bool logical_parity_ = false;  ///< parity of packed_ & logical_mask_
 };
 
 } // namespace btwc

@@ -174,36 +174,4 @@ RotatedSurfaceCode::edge_of_data(CheckType t, int data) const
     return {owners[0], -1};
 }
 
-void
-RotatedSurfaceCode::syndrome_of(CheckType detector,
-                                const std::vector<uint8_t> &error,
-                                std::vector<uint8_t> &out) const
-{
-    const auto &list = checks_[index(detector)];
-    out.assign(list.size(), 0);
-    for (const Check &chk : list) {
-        uint8_t parity = 0;
-        for (const int data : chk.data) {
-            parity ^= (error[data] & 1);
-        }
-        out[chk.id] = parity;
-    }
-}
-
-bool
-RotatedSurfaceCode::logical_flipped(CheckType error_type,
-                                    const std::vector<uint8_t> &error) const
-{
-    // An X-type residual fails the logical qubit when it anticommutes
-    // with Z_L (and symmetrically for Z residuals), i.e. when its
-    // overlap with the *opposite* type's logical support is odd.
-    const CheckType dual =
-        error_type == CheckType::X ? CheckType::Z : CheckType::X;
-    uint8_t parity = 0;
-    for (const int data : logical_[index(dual)]) {
-        parity ^= (error[data] & 1);
-    }
-    return parity != 0;
-}
-
 } // namespace btwc

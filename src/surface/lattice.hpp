@@ -171,23 +171,6 @@ class RotatedSurfaceCode
     }
 
     /**
-     * Noiseless syndrome: for every check of type `detector`, the
-     * parity of `error` (one byte per data qubit, nonzero = flipped)
-     * over the check support. `out` is resized to num_checks.
-     */
-    void syndrome_of(CheckType detector, const std::vector<uint8_t> &error,
-                     std::vector<uint8_t> &out) const;
-
-    /**
-     * Parity of an error pattern over the logical support of the
-     * *opposite* error type; odd parity after a trivial-syndrome
-     * residual means a logical failure. For X-type residual errors
-     * pass error_type = X (overlap with Z_L is evaluated).
-     */
-    bool logical_flipped(CheckType error_type,
-                         const std::vector<uint8_t> &error) const;
-
-    /**
      * Precomputed matching-graph geometry of one check type
      * (surface/distance.hpp): all-pairs check hop distances plus
      * per-check boundary hops — the spacetime distance oracle behind

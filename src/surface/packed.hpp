@@ -123,6 +123,7 @@ class PackedBits
     /** XOR in another bitset of the same size. */
     PackedBits &operator^=(const PackedBits &other)
     {
+        BTWC_DCHECK(bits_ == other.bits_);
         for (size_t w = 0; w < words_.size(); ++w) {
             words_[w] ^= other.words_[w];
         }
@@ -132,6 +133,7 @@ class PackedBits
     /** AND in another bitset of the same size. */
     PackedBits &operator&=(const PackedBits &other)
     {
+        BTWC_DCHECK(bits_ == other.bits_);
         for (size_t w = 0; w < words_.size(); ++w) {
             words_[w] &= other.words_[w];
         }
@@ -141,6 +143,7 @@ class PackedBits
     /** OR in another bitset of the same size. */
     PackedBits &operator|=(const PackedBits &other)
     {
+        BTWC_DCHECK(bits_ == other.bits_);
         for (size_t w = 0; w < words_.size(); ++w) {
             words_[w] |= other.words_[w];
         }

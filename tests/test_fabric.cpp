@@ -18,12 +18,16 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "core/offchip_service.hpp"
 #include "core/system.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/harness.hpp"
+#include "fabric/probe.hpp"
 #include "fabric/scheduler.hpp"
+#include "matching/mwpm.hpp"
 #include "sim/fleet.hpp"
+#include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 #include "surface/noise.hpp"
 
@@ -265,8 +269,8 @@ TEST(FabricFifo, LockstepFramesWithLegacySharedService)
         fabric.audit(shipped);
         for (size_t q = 0; q < legacy_fleet.size(); ++q) {
             for (const CheckType err : {CheckType::X, CheckType::Z}) {
-                ASSERT_EQ(legacy_fleet[q].frame(err).error(),
-                          fabric_fleet[q].frame(err).error())
+                ASSERT_EQ(legacy_fleet[q].frame(err).error_packed(),
+                          fabric_fleet[q].frame(err).error_packed())
                     << "qubit " << q << " cycle " << cycle;
             }
         }
@@ -488,6 +492,54 @@ TEST(FabricHarness, ProbingIsPureObservation)
     EXPECT_EQ(a.landed, b.landed);
     EXPECT_EQ(a.suppressed, b.suppressed);
     EXPECT_EQ(a.deadline_misses, b.deadline_misses);
+}
+
+/**
+ * The probe's readout as it was first written: copy the frame, apply
+ * the MWPM correction of its perfect syndrome to the copy, and read the
+ * copy's logical indicator. Kept as the reference for the scratch-frame
+ * XOR the probe does instead.
+ */
+bool
+copy_and_apply_parity(const ErrorFrame &frame, const MwpmDecoder &decoder)
+{
+    std::vector<uint8_t> syndrome;
+    frame.measure_perfect(syndrome);
+    ErrorFrame residual = frame;
+    residual.apply_mask(decoder.decode_syndrome(syndrome).correction);
+    EXPECT_TRUE(residual.syndrome_clear());
+    return residual.logical_flipped();
+}
+
+TEST(FabricProbe, ScratchParityMatchesCopyAndApply)
+{
+    Rng rng(4242);
+    for (const int d : {3, 5, 9}) {
+        const RotatedSurfaceCode code(d);
+        LogicalFailureProbe probe(code);
+        const MwpmDecoder decoders[2] = {
+            MwpmDecoder(code, detector_of_error(CheckType::X)),
+            MwpmDecoder(code, detector_of_error(CheckType::Z))};
+        int flipped = 0;
+        for (int trial = 0; trial < 500; ++trial) {
+            const CheckType err =
+                trial % 2 == 0 ? CheckType::X : CheckType::Z;
+            ErrorFrame frame(code, err);
+            // Light to heavy: clear syndromes, short chains, and
+            // residuals that wrap into logical failures.
+            frame.inject(0.01 + 0.14 * rng.next_double(), rng);
+            const PackedBits before = frame.error_packed();
+            const bool expected = copy_and_apply_parity(
+                frame, decoders[static_cast<int>(err)]);
+            ASSERT_EQ(probe.logical_parity(frame), expected)
+                << "d=" << d << " trial=" << trial;
+            ASSERT_EQ(frame.error_packed(), before);  // observer only
+            flipped += expected ? 1 : 0;
+        }
+        // Both readouts occur, so the comparison is not vacuous.
+        EXPECT_GT(flipped, 0) << "d=" << d;
+        EXPECT_LT(flipped, 500) << "d=" << d;
+    }
 }
 
 TEST(FabricHarness, ThreadedFabricStatsAreDeterministic)

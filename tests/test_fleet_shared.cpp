@@ -82,7 +82,8 @@ expect_fleets_lockstep(std::vector<BtwcSystem> &a,
         }
         for (size_t q = 0; q < a.size(); ++q) {
             for (const CheckType err : {CheckType::X, CheckType::Z}) {
-                ASSERT_EQ(a[q].frame(err).error(), b[q].frame(err).error())
+                ASSERT_EQ(a[q].frame(err).error_packed(),
+                          b[q].frame(err).error_packed())
                     << "qubit " << q << " cycle " << cycle;
             }
         }

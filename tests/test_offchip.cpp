@@ -244,7 +244,8 @@ expect_lockstep(SyncReference &a, BtwcSystem &b, int cycles)
         ASSERT_EQ(rb.suppressed, 0) << "cycle " << i;
         ASSERT_EQ(rb.landed, rb.queued) << "cycle " << i;
         for (const CheckType err : {CheckType::X, CheckType::Z}) {
-            ASSERT_EQ(a.frame(err).error(), b.frame(err).error())
+            ASSERT_EQ(a.frame(err).error_packed(),
+                      b.frame(err).error_packed())
                 << "cycle " << i;
         }
     }

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
+#include "dense_syndrome.hpp"
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 
@@ -125,7 +128,7 @@ TEST_P(SurfaceCodeSweep, SingleErrorSyndromeMatchesIncidence)
             std::vector<uint8_t> error(code.num_data(), 0);
             error[q] = 1;
             std::vector<uint8_t> syndrome;
-            code.syndrome_of(det, error, syndrome);
+            dense_syndrome(code, det, error, syndrome);
             std::set<int> fired;
             for (int c = 0; c < code.num_checks(det); ++c) {
                 if (syndrome[c]) {
@@ -150,7 +153,7 @@ TEST_P(SurfaceCodeSweep, LogicalOperatorsHaveTrivialSyndrome)
             error[q] ^= 1;
         }
         std::vector<uint8_t> syndrome;
-        code.syndrome_of(detector_of_error(err), error, syndrome);
+        dense_syndrome(code, detector_of_error(err), error, syndrome);
         for (const uint8_t s : syndrome) {
             EXPECT_EQ(s, 0);
         }
@@ -357,6 +360,184 @@ TEST(ErrorFrame, StabilizerIsNotLogical)
     }
     EXPECT_TRUE(frame.syndrome_clear());
     EXPECT_FALSE(frame.logical_flipped());
+}
+
+TEST(ErrorFrame, MismatchedMaskIsRejected)
+{
+    const RotatedSurfaceCode code(5);
+    ErrorFrame frame(code, CheckType::X);
+    for (const int width : {code.num_data() - 1, code.num_data() + 1}) {
+        const std::vector<uint8_t> mask(static_cast<size_t>(width), 1);
+        EXPECT_THROW(frame.apply_mask(mask), CheckFailure) << width;
+        PackedBits packed;
+        packed.from_bytes(mask);
+        EXPECT_THROW(frame.apply_packed(packed), CheckFailure) << width;
+    }
+    // A rejected mask leaves the frame untouched.
+    EXPECT_EQ(frame.weight(), 0);
+    EXPECT_TRUE(frame.syndrome_clear());
+}
+
+/**
+ * The extraction a frame used before it kept its syndrome current: an
+ * incidence walk over every set error bit, then the geometric
+ * measurement-flip walk. Kept as the RNG-stream reference.
+ */
+void
+sparse_extraction(const ErrorFrame &frame, double p_meas, Rng &rng,
+                  PackedSyndrome &out)
+{
+    const RotatedSurfaceCode &code = frame.code();
+    out.reset(code.num_checks(frame.detector()));
+    frame.error_packed().for_each_set([&](int data) {
+        for (const int check : code.checks_of_data(frame.detector(), data)) {
+            out.flip(check);
+        }
+    });
+    const uint64_t n = static_cast<uint64_t>(out.size());
+    uint64_t i = rng.geometric(p_meas);
+    while (i < n) {
+        out.flip(static_cast<int>(i));
+        const uint64_t gap = rng.geometric(p_meas);
+        if (gap >= n - i) {
+            break;
+        }
+        i += gap + 1;
+    }
+}
+
+/** Every reader of `frame` agrees with the dense sweep of its error. */
+void
+expect_matches_oracle(const ErrorFrame &frame, const char *op)
+{
+    const RotatedSurfaceCode &code = frame.code();
+    std::vector<uint8_t> error;
+    frame.error_packed().to_bytes(error);
+    std::vector<uint8_t> oracle;
+    dense_syndrome(code, frame.detector(), error, oracle);
+    const bool oracle_clear =
+        std::all_of(oracle.begin(), oracle.end(),
+                    [](uint8_t bit) { return bit == 0; });
+
+    std::vector<uint8_t> bytes;
+    frame.syndrome().to_bytes(bytes);
+    EXPECT_EQ(bytes, oracle) << op;
+    frame.measure_perfect(bytes);
+    EXPECT_EQ(bytes, oracle) << op;
+    Rng unused(0);
+    PackedSyndrome packed;
+    frame.measure_packed(0.0, unused, packed);
+    packed.to_bytes(bytes);
+    EXPECT_EQ(bytes, oracle) << op;
+    EXPECT_EQ(frame.syndrome_clear(), oracle_clear) << op;
+    EXPECT_EQ(frame.logical_flipped(),
+              dense_logical_flipped(code, frame.error_type(), error))
+        << op;
+    EXPECT_NO_THROW(frame.audit()) << op;
+}
+
+TEST(ErrorFrame, MaintainedStateMatchesDenseOracle)
+{
+    for (const int d : {3, 5, 9, 21}) {
+        const RotatedSurfaceCode code(d);
+        const int n = code.num_data();
+        for (const CheckType err : {CheckType::X, CheckType::Z}) {
+            SCOPED_TRACE(testing::Message()
+                         << "d=" << d << " err=" << check_type_name(err));
+            Rng rng(static_cast<uint64_t>(1000 + d));
+            ErrorFrame frame(code, err);
+            for (int step = 0; step < 2000; ++step) {
+                switch (rng.next_below(9)) {
+                  case 0:
+                    frame.inject(1e-3, rng);
+                    expect_matches_oracle(frame, "inject 1e-3");
+                    break;
+                  case 1:
+                    frame.inject(5e-2, rng);
+                    expect_matches_oracle(frame, "inject 5e-2");
+                    break;
+                  case 2:
+                    frame.flip(static_cast<int>(rng.next_below(n)));
+                    expect_matches_oracle(frame, "flip");
+                    break;
+                  case 3: {
+                    std::vector<int> corrections;
+                    const uint64_t count = rng.next_below(6);
+                    for (uint64_t k = 0; k < count; ++k) {
+                        corrections.push_back(
+                            static_cast<int>(rng.next_below(n)));
+                    }
+                    frame.apply(corrections);
+                    expect_matches_oracle(frame, "apply");
+                    break;
+                  }
+                  case 4: {
+                    std::vector<uint8_t> mask(static_cast<size_t>(n));
+                    for (auto &bit : mask) {
+                        bit = rng.bernoulli(0.05) ? 1 : 0;
+                    }
+                    frame.apply_mask(mask);
+                    expect_matches_oracle(frame, "apply_mask");
+                    break;
+                  }
+                  case 5: {
+                    PackedBits mask(n);
+                    for (int q = 0; q < n; ++q) {
+                        if (rng.bernoulli(0.05)) {
+                            mask.set(q);
+                        }
+                    }
+                    frame.apply_packed(mask);
+                    expect_matches_oracle(frame, "apply_packed");
+                    break;
+                  }
+                  case 6:
+                    // Rare, so the frame usually carries an aged error.
+                    if (rng.bernoulli(0.1)) {
+                        frame.reset();
+                        expect_matches_oracle(frame, "reset");
+                    }
+                    break;
+                  default: {
+                    ErrorFrame copy(frame);
+                    const PackedBits before = frame.error_packed();
+                    copy.flip(static_cast<int>(rng.next_below(n)));
+                    copy.inject(5e-2, rng);
+                    expect_matches_oracle(copy, "copy, diverged");
+                    EXPECT_EQ(frame.error_packed(), before);
+                    expect_matches_oracle(frame, "copied-from");
+                    break;
+                  }
+                }
+                if (HasFailure()) {
+                    return;
+                }
+            }
+
+            // A frame aged like a memory stream's (never corrected):
+            // extraction must still draw the sparse reference's RNG
+            // stream and produce its syndrome.
+            ErrorFrame aged(code, err);
+            for (int round = 0; round < 2000; ++round) {
+                aged.inject(1e-3, rng);
+            }
+            if (d == 21) {
+                ASSERT_GT(aged.weight(), 100);
+            }
+            Rng meas_rng(2000 + d);
+            Rng reference_rng(2000 + d);
+            PackedSyndrome out;
+            PackedSyndrome reference;
+            for (int round = 0; round < 100; ++round) {
+                aged.measure_packed(1e-3, meas_rng, out);
+                sparse_extraction(aged, 1e-3, reference_rng, reference);
+                ASSERT_EQ(out, reference) << "aged round " << round;
+                ASSERT_EQ(meas_rng.next_u64(), reference_rng.next_u64())
+                    << "aged round " << round;
+                aged.inject(1e-3, rng);
+            }
+        }
+    }
 }
 
 } // namespace
