@@ -275,6 +275,24 @@ FRESH_CHAOS="build-release/BENCH_chaos.fresh.json"
 }
 
 echo
+echo "== weighted matching gate: dense weighted memory point -> BENCH_weighted.json =="
+# Log-likelihood weights (space 389, time 318 at p=2e-2, p_meas=0.04)
+# through the oracle distances and the (dist, id) parent walk. The
+# point is dense enough to log ~160 logical failures in 4000 trials,
+# so a changed distance, tie-break or correction path moves the
+# metrics; the registry memory-weighted entry logs too few to show it.
+WEIGHTED_SPEC="kind=memory,d=7,p=2e-2,p_meas=0.04,weighted,arm=mwpm"
+WEIGHTED_SPEC+=",trials=4000,failures=100000"
+FRESH_WEIGHTED="build-release/BENCH_weighted.fresh.json"
+./build-release/btwc_run "${WEIGHTED_SPEC}" --threads 1 --repeat 3 \
+    --audit deep --json "${FRESH_WEIGHTED}" > /dev/null
+./build-release/btwc_diff BENCH_weighted.json "${FRESH_WEIGHTED}" || {
+    echo "weighted metrics drifted; if intentional:" >&2
+    echo "  cp ${FRESH_WEIGHTED} BENCH_weighted.json  # and commit" >&2
+    exit 1
+}
+
+echo
 echo "== chaos soak: 10k-cycle flapping link under deep audits =="
 # Long-horizon graceful-degradation soak (unpinned: it asserts bounds,
 # not exact numbers — the pinning lives in the gate above). Every
