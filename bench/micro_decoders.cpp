@@ -306,21 +306,17 @@ BM_SpacetimeMwpmWindow(benchmark::State &state)
 BENCHMARK(BM_SpacetimeMwpmWindow)->Arg(5)->Arg(9)->Arg(11);
 
 /**
- * The perf-gate pair: single-shot spacetime decodes (a fresh window
- * per slot, varied inputs) through the fast path — distance oracle +
- * pooled per-instance scratch, the production default — against the
- * legacy per-defect Dijkstra configuration; both solve the same
- * savings graph (bit-exact results, tests/test_fastpath.cpp). The
- * acceptance bar is >= 3x at d >= 11; see the archived
- * BENCH_decoders.json for the measured trajectory.
+ * Single-shot spacetime decodes (a fresh window per slot, varied
+ * inputs) through the distance oracle and the pooled per-instance
+ * scratch. See the archived BENCH_decoders.json for the measured
+ * trajectory.
  */
 void
-run_single_decode(benchmark::State &state, const FastPathConfig &config)
+BM_MwpmDecodeSingle(benchmark::State &state)
 {
     const int d = static_cast<int>(state.range(0));
     const RotatedSurfaceCode code(d);
-    const MwpmDecoder mwpm(code, CheckType::Z, 1, 1,
-                           MwpmDecoder::Matcher::Blossom, config);
+    const MwpmDecoder mwpm(code, CheckType::Z);
     Rng rng(10);
     std::vector<std::vector<DetectionEvent>> windows;
     for (int i = 0; i < 16; ++i) {
@@ -331,20 +327,7 @@ run_single_decode(benchmark::State &state, const FastPathConfig &config)
         benchmark::DoNotOptimize(mwpm.decode(windows[i++ & 15], d + 1));
     }
 }
-
-void
-BM_MwpmDecodeSingle(benchmark::State &state)
-{
-    run_single_decode(state, FastPathConfig::fast());
-}
 BENCHMARK(BM_MwpmDecodeSingle)->Arg(11)->Arg(15)->Arg(21);
-
-void
-BM_MwpmDecodeSingleLegacy(benchmark::State &state)
-{
-    run_single_decode(state, FastPathConfig::legacy());
-}
-BENCHMARK(BM_MwpmDecodeSingleLegacy)->Arg(11)->Arg(15)->Arg(21);
 
 void
 BM_LutDecode(benchmark::State &state)
@@ -389,8 +372,7 @@ void
 BM_MwpmDecodeBatch(benchmark::State &state)
 {
     // Batched off-chip decoding (the async service's drain path):
-    // decode_batch reuses one graph scratch across the batch, vs the
-    // per-call setup of looping decode (BM_MwpmDecodeLoop).
+    // decode_batch loops decode over the decoder's one pooled scratch.
     const int d = 21;
     const RotatedSurfaceCode code(d);
     const MwpmDecoder mwpm(code, CheckType::Z);
@@ -406,29 +388,6 @@ BM_MwpmDecodeBatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MwpmDecodeBatch)->Arg(4)->Arg(16)->Arg(64);
-
-void
-BM_MwpmDecodeLoop(benchmark::State &state)
-{
-    // Baseline for BM_MwpmDecodeBatch: same inputs, one decode call
-    // (and one scratch allocation) per item.
-    const int d = 21;
-    const RotatedSurfaceCode code(d);
-    const MwpmDecoder mwpm(code, CheckType::Z);
-    Rng rng(9);
-    std::vector<std::vector<DetectionEvent>> batch;
-    for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-        batch.push_back(
-            events_from_syndrome(sample_syndrome(code, d / 2, rng)));
-    }
-    for (auto _ : state) {
-        for (const auto &events : batch) {
-            benchmark::DoNotOptimize(mwpm.decode(events, 1));
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MwpmDecodeLoop)->Arg(4)->Arg(16)->Arg(64);
 
 void
 BM_StreamWindowDecode(benchmark::State &state)

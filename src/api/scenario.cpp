@@ -617,6 +617,27 @@ validate_spec(const ScenarioSpec &spec, std::string *error)
             return false;
         }
     }
+    if (spec.weighted_matching) {
+        // Only the memory experiment decodes with log-likelihood
+        // weights, and ln((1-p)/p) needs both probabilities in (0, 1).
+        if (spec.kind != ScenarioKind::Memory) {
+            set_error(error,
+                      "weighted is only valid in kind=memory scenarios "
+                      "(log-likelihood matching weights); other kinds "
+                      "decode with unit weights");
+            return false;
+        }
+        const double p = spec.code.p;
+        const double p_meas = spec.code.p_meas < 0.0 ? p : spec.code.p_meas;
+        if (!(p > 0.0 && p < 1.0 && p_meas > 0.0 && p_meas < 1.0)) {
+            set_error(error,
+                      "weighted needs 0 < p < 1 and 0 < p_meas < 1 "
+                      "(log-likelihood weights are undefined at 0 and "
+                      "1); got p=" + format_double(p) +
+                          ", p_meas=" + format_double(p_meas));
+            return false;
+        }
+    }
     if (spec.service.faults.enabled) {
         // Fault plans inject into the shared off-chip service, so they
         // need one: every fabric link has one; an exact fleet only

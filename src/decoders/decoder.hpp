@@ -97,10 +97,10 @@ class Decoder
     /**
      * Decode a batch of independent event sets observed over the same
      * number of rounds, returning one Result per entry in order. The
-     * base implementation is a plain loop over `decode`; backends with
-     * per-call setup cost (graph scratch allocation in `MwpmDecoder` /
-     * `ExactDecoder`) override it to amortize that setup across the
-     * batch. Semantics are identical to the loop by contract: the
+     * base implementation is a plain loop over `decode`; decoders keep
+     * their graph scratch across calls (`MwpmDecoder`, `ExactDecoder`),
+     * so the loop already amortizes setup. A backend may override it
+     * only if semantics stay identical to the loop by contract: the
      * async off-chip service (core/offchip_queue.hpp) relies on
      * batched and per-item decoding being bit-identical.
      */

@@ -7,9 +7,9 @@ namespace btwc {
 /**
  * Brute-force exact matching decoder tier.
  *
- * Shares the spacetime graph construction, path recovery, and the
- * scratch-reusing `decode_batch` specialization with `MwpmDecoder`
- * but solves the defect pairing with the subset DP of
+ * Shares the oracle distances, path recovery and pooled scratch with
+ * `MwpmDecoder` (batches take the base `Decoder::decode_batch` loop,
+ * which reuses that scratch call after call) but solves the defect pairing with the subset DP of
  * matching/exact.hpp (exact by construction, O(2^k * k) in the defect
  * count k). It is the correctness oracle for the blossom-backed
  * production tier and an alternative final tier for cross-validation
@@ -19,17 +19,15 @@ class ExactDecoder : public MwpmDecoder
 {
   public:
     /**
-     * Defaults to O(1) oracle distances (bit-exact with the Dijkstra).
      * The rare > ~18-defect blossom fallback solves the same savings
      * graph as `MwpmDecoder`; it leaves out only pairs that save
      * nothing over two boundary retirements, and tests pin its weight
      * to a dense complete-graph solve.
      */
     ExactDecoder(const RotatedSurfaceCode &code, CheckType detector,
-                 int space_weight = 1, int time_weight = 1,
-                 FastPathConfig fast = FastPathConfig())
+                 int space_weight = 1, int time_weight = 1)
         : MwpmDecoder(code, detector, space_weight, time_weight,
-                      Matcher::ExactDp, fast)
+                      Matcher::ExactDp)
     {
     }
 

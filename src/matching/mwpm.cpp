@@ -1,10 +1,8 @@
 #include "matching/mwpm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <queue>
 
 #include "common/check.hpp"
 #include "matching/blossom.hpp"
@@ -14,8 +12,6 @@
 namespace btwc {
 
 namespace {
-
-constexpr int kNoNode = -1;
 
 /**
  * Largest defect count handed to the subset-DP matcher: O(2^k * k)
@@ -38,24 +34,14 @@ log_likelihood_weight(double p, double scale)
 /**
  * Persistent per-instance working set. Every array (and the blossom
  * matcher's edge list, adjacency and blossom arrays) holds on to its
- * grown capacity, so
- * after the first few decodes the steady state allocates nothing —
- * this is what the `BM_MwpmDecodeSingle*` benchmarks measure. One
- * Scratch lives in each decoder (`MwpmDecoder::scratch_`); `decode`,
- * `decode_batch`, and the tier-chain resume paths all route through
- * it.
+ * grown capacity, so after the first few decodes the steady state
+ * allocates nothing — this is what the `BM_MwpmDecodeSingle`
+ * benchmarks measure. One Scratch lives in each decoder
+ * (`MwpmDecoder::scratch_`); `decode`, `decode_matched` and the
+ * tier-chain resume paths all route through it.
  */
 struct MwpmDecoder::Scratch
 {
-    // Dijkstra fallback: per-defect distance and parent arrays over
-    // the full spacetime graph (only touched on the legacy path).
-    std::vector<std::vector<int>> dist;
-    std::vector<std::vector<int>> parent_node;
-    std::vector<std::vector<int>> parent_data;
-    std::vector<int> boundary_node;
-    std::vector<int> boundary_via;
-
-    // Shared by both paths.
     std::vector<int64_t> boundary_dist;
     std::vector<int64_t> defect_w;  ///< k x k pairwise distances, flat
     std::vector<int> mate_defect;
@@ -65,28 +51,14 @@ struct MwpmDecoder::Scratch
 
     // Pooled pairing engine (MaxWeightMatching::reset).
     MaxWeightMatching matcher;
-
-    void prepare_dijkstra(int defects)
-    {
-        const size_t k = static_cast<size_t>(defects);
-        if (dist.size() < k) {
-            dist.resize(k);
-            parent_node.resize(k);
-            parent_data.resize(k);
-        }
-        boundary_node.resize(k);
-        boundary_via.resize(k);
-    }
 };
 
 MwpmDecoder::MwpmDecoder(const RotatedSurfaceCode &code, CheckType detector,
-                         int space_weight, int time_weight, Matcher matcher,
-                         FastPathConfig fast)
+                         int space_weight, int time_weight, Matcher matcher)
     : code_(code), detector_(detector),
       num_checks_(code.num_checks(detector)),
       space_weight_(space_weight), time_weight_(time_weight),
-      matcher_(matcher), fast_(fast),
-      scratch_(std::make_unique<Scratch>())
+      matcher_(matcher), scratch_(std::make_unique<Scratch>())
 {
     BTWC_CHECK(space_weight >= 1 && time_weight >= 1);
 }
@@ -99,19 +71,6 @@ MwpmDecoder::decode(const std::vector<DetectionEvent> &events,
 {
     thread_owner_.assert_single_thread_owner();
     return decode_impl(events, rounds, *scratch_);
-}
-
-std::vector<MwpmDecoder::Result>
-MwpmDecoder::decode_batch(
-    const std::vector<std::vector<DetectionEvent>> &batch, int rounds) const
-{
-    thread_owner_.assert_single_thread_owner();
-    std::vector<Result> results;
-    results.reserve(batch.size());
-    for (const std::vector<DetectionEvent> &events : batch) {
-        results.push_back(decode_impl(events, rounds, *scratch_));
-    }
-    return results;
 }
 
 MwpmDecoder::Result
@@ -142,129 +101,30 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     const int k = static_cast<int>(events.size());
     const size_t ks = static_cast<size_t>(k);
 
-    // Fast path: with uniform per-dimension weights the spacetime
-    // graph is the Cartesian product of the check graph and the round
-    // path, so distances decompose into space hops + time separation
-    // and come from the precomputed oracle in O(1). Non-unit weights
-    // would also decompose, but the legacy Dijkstra is kept as the
-    // exact reference/fallback there (and for the bit-exactness
-    // property tests).
-    const bool fast = fast_.distance_oracle && space_weight_ == 1 &&
-                      time_weight_ == 1;
-    const CheckGraphDistances *oracle =
-        fast ? &code_.check_distances(detector_) : nullptr;
+    // With one weight per dimension the spacetime graph is the
+    // Cartesian product of the check graph and the round path, so a
+    // distance is sw * hops + tw * |dr| and a boundary distance is
+    // sw * (hops + 1), both from the precomputed oracle in O(1).
+    const CheckGraphDistances &oracle = code_.check_distances(detector_);
+    const int64_t sw = space_weight_;
+    const int64_t tw = time_weight_;
 
     std::vector<int64_t> &boundary_dist = scratch.boundary_dist;
     std::vector<int64_t> &defect_w = scratch.defect_w;
-    boundary_dist.assign(ks, -1);
+    boundary_dist.resize(ks);
     defect_w.assign(ks * ks, -1);
-
-    if (fast) {
-        for (int i = 0; i < k; ++i) {
-            if (audit) {
-                BTWC_CHECK(events[i].round >= 0 && events[i].round < rounds);
-                BTWC_CHECK(events[i].check >= 0 &&
-                           events[i].check < num_checks_);
-            }
-            boundary_dist[i] =
-                oracle->boundary_hops(events[i].check) + 1;
-            for (int j = 0; j < i; ++j) {
-                const int64_t w =
-                    oracle->distance(events[i].check, events[j].check) +
-                    std::abs(events[i].round - events[j].round);
-                defect_w[static_cast<size_t>(i) * ks + j] = w;
-                defect_w[static_cast<size_t>(j) * ks + i] = w;
-            }
+    for (int i = 0; i < k; ++i) {
+        if (audit) {
+            BTWC_CHECK(events[i].round >= 0 && events[i].round < rounds);
+            BTWC_CHECK(events[i].check >= 0 && events[i].check < num_checks_);
         }
-    } else {
-        // Per-defect Dijkstra over the spacetime graph: distances to
-        // every node plus parent pointers for path recovery.
-        // parent_data records the data qubit of a space edge (or -1
-        // for a time edge). With unit weights this degenerates to
-        // breadth-first search.
-        const int num_nodes = rounds * num_checks_;
-        scratch.prepare_dijkstra(k);
-        std::vector<std::vector<int>> &dist = scratch.dist;
-        std::vector<std::vector<int>> &parent_node = scratch.parent_node;
-        std::vector<std::vector<int>> &parent_data = scratch.parent_data;
-        std::vector<int> &boundary_node = scratch.boundary_node;
-        std::vector<int> &boundary_via = scratch.boundary_via;
-
-        for (int i = 0; i < k; ++i) {
-            if (audit) {
-                BTWC_CHECK(events[i].round >= 0 && events[i].round < rounds);
-                BTWC_CHECK(events[i].check >= 0 &&
-                           events[i].check < num_checks_);
-            }
-            dist[i].assign(num_nodes, -1);
-            parent_node[i].assign(num_nodes, kNoNode);
-            parent_data[i].assign(num_nodes, -1);
-            boundary_dist[i] = -1;
-            boundary_node[i] = kNoNode;
-            boundary_via[i] = -1;
-
-            const int src = node_id(events[i].check, events[i].round);
-            using HeapEntry = std::pair<int, int>;  // (distance, node)
-            std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                std::greater<HeapEntry>>
-                frontier;
-            dist[i][src] = 0;
-            frontier.push({0, src});
-            while (!frontier.empty()) {
-                const auto [cur_dist, cur] = frontier.top();
-                frontier.pop();
-                if (cur_dist != dist[i][cur]) {
-                    continue;  // stale entry
-                }
-                const int check = cur % num_checks_;
-                const int round = cur / num_checks_;
-
-                // Boundary half-edges cost one space weight; the first
-                // settled boundary-adjacent node is optimal because
-                // the hop cost is uniform.
-                if (boundary_dist[i] < 0 &&
-                    !code_.boundary_data(detector_, check).empty()) {
-                    boundary_dist[i] = cur_dist + space_weight_;
-                    boundary_node[i] = cur;
-                    boundary_via[i] =
-                        code_.boundary_data(detector_, check)[0];
-                }
-
-                auto relax = [&](int node, int via_data, int weight) {
-                    const int cand = cur_dist + weight;
-                    if (dist[i][node] < 0 || cand < dist[i][node]) {
-                        dist[i][node] = cand;
-                        parent_node[i][node] = cur;
-                        parent_data[i][node] = via_data;
-                        frontier.push({cand, node});
-                    }
-                };
-                for (const CliqueNeighbor &nb :
-                     code_.clique_neighbors(detector_, check)) {
-                    relax(node_id(nb.check, round), nb.shared_data,
-                          space_weight_);
-                }
-                if (round + 1 < rounds) {
-                    relax(node_id(check, round + 1), -1, time_weight_);
-                }
-                if (round > 0) {
-                    relax(node_id(check, round - 1), -1, time_weight_);
-                }
-            }
-        }
-
-        // Defect-defect pairing distances, shared by both matcher
-        // backends (a divergence here would silently desynchronize the
-        // exact-DP oracle from the production blossom matcher).
-        for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                const int nj = node_id(events[j].check, events[j].round);
-                const int d = dist[i][nj];
-                if (d >= 0) {
-                    defect_w[static_cast<size_t>(i) * ks + j] = d;
-                    defect_w[static_cast<size_t>(j) * ks + i] = d;
-                }
-            }
+        boundary_dist[i] = sw * (oracle.boundary_hops(events[i].check) + 1);
+        for (int j = 0; j < i; ++j) {
+            const int64_t w =
+                sw * oracle.distance(events[i].check, events[j].check) +
+                tw * std::abs(events[i].round - events[j].round);
+            defect_w[static_cast<size_t>(i) * ks + j] = w;
+            defect_w[static_cast<size_t>(j) * ks + i] = w;
         }
     }
 
@@ -280,7 +140,6 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             dp_w[i].assign(defect_w.begin() + static_cast<size_t>(i) * ks,
                            defect_w.begin() +
                                static_cast<size_t>(i + 1) * ks);
-            dp_w[i][i] = -1;
         }
         const int64_t total = exact_min_weight_with_boundary_mates(
             k, dp_w, boundary_dist, mate_defect);
@@ -299,13 +158,11 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         MaxWeightMatching &solver = scratch.matcher;
         solver.reset(k);
         for (int i = 0; i < k; ++i) {
-            BTWC_CHECK_MSG(boundary_dist[i] >= 0,
-                           "every check reaches a boundary");
             const int64_t *row = &defect_w[static_cast<size_t>(i) * ks];
             for (int j = i + 1; j < k; ++j) {
                 const int64_t saving =
                     boundary_dist[i] + boundary_dist[j] - row[j];
-                if (row[j] >= 0 && saving > 0) {
+                if (saving > 0) {
                     solver.add_edge(i, j, saving);
                 }
             }
@@ -314,12 +171,19 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         mate_defect.assign(mate.begin(), mate.end());
     }
 
-    // Path recovery. The fast walk reproduces the legacy parent
-    // chains exactly: Dijkstra settles equal-distance nodes in node-id
-    // order, so the parent of node v is its smallest-id neighbor one
-    // hop closer to the source — recomputable from distances alone,
-    // no parent arrays needed. Corrections are therefore bit-exact
-    // between the two paths (pinned by tests/test_fastpath.cpp).
+    // Path recovery follows the parent chain a Dijkstra from the
+    // source defect would record (tests/dijkstra_reference.hpp).
+    // Dijkstra settles nodes in (dist, node id) order, so the parent
+    // of node (c, r) is its tight neighbor (one edge closer to the
+    // source) with the smallest (dist, id). A tight space neighbor is
+    // one hop closer in the check graph whatever the round, and all
+    // of them share one dist, so the space step from c always goes to
+    // its smallest-id neighbor one hop closer. The weights only decide
+    // how time steps interleave with the space steps (tw > sw: time
+    // first; sw > tw: space first; equal: back in time, space, then
+    // forward in time, the round-major id order), and time steps
+    // toggle no data qubit. So the walk takes the space steps alone,
+    // toggling the same qubits in the same order for every weight.
     auto toggle = [&](int via) {
         result.correction[via] ^= 1;
         if (matches != nullptr) {
@@ -327,60 +191,26 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         }
     };
 
-    auto oracle_walk = [&](int i, int to_check, int to_round) {
+    auto walk = [&](int i, int c) {
         const int sc = events[i].check;
-        const int sr = events[i].round;
-        int c = to_check;
-        int r = to_round;
-        int cur_d = oracle->distance(sc, c) + std::abs(r - sr);
-        while (cur_d > 0) {
-            const int want = cur_d - 1;
+        for (int hops = oracle.distance(sc, c); hops > 0; --hops) {
+            int best_check = std::numeric_limits<int>::max();
             int via = -1;
-            // Candidates in node-id order: (c, r-1) precedes every
-            // same-round space neighbor, which precede (c, r+1).
-            if (r > 0 &&
-                oracle->distance(sc, c) + std::abs(r - 1 - sr) == want) {
-                --r;
-            } else {
-                int best_check = std::numeric_limits<int>::max();
-                for (const CliqueNeighbor &nb :
-                     code_.clique_neighbors(detector_, c)) {
-                    if (nb.check < best_check &&
-                        oracle->distance(sc, nb.check) +
-                                std::abs(r - sr) ==
-                            want) {
-                        best_check = nb.check;
-                        via = nb.shared_data;
-                    }
-                }
-                if (via >= 0) {
-                    c = best_check;
-                    toggle(via);
-                } else {
-                    // Only the forward time edge can be closer.
-                    BTWC_DCHECK(r + 1 < rounds);
-                    ++r;
+            for (const CliqueNeighbor &nb :
+                 code_.clique_neighbors(detector_, c)) {
+                if (nb.check < best_check &&
+                    oracle.distance(sc, nb.check) == hops - 1) {
+                    best_check = nb.check;
+                    via = nb.shared_data;
                 }
             }
-            --cur_d;
+            BTWC_DCHECK(via >= 0);
+            c = best_check;
+            toggle(via);
         }
         if (audit) {
-            BTWC_CHECK_MSG(c == sc && r == sr,
-                           "geodesic walk must terminate at the source "
-                           "defect");
-        }
-    };
-
-    auto legacy_walk_back = [&](int i, int from_node) {
-        // XOR the space-edge data qubits on the path from `from_node`
-        // back to defect i's source node.
-        int cur = from_node;
-        while (scratch.parent_node[i][cur] != kNoNode) {
-            const int via = scratch.parent_data[i][cur];
-            if (via >= 0) {
-                toggle(via);
-            }
-            cur = scratch.parent_node[i][cur];
+            BTWC_CHECK_MSG(c == sc, "geodesic walk must terminate at the "
+                                    "source defect");
         }
     };
 
@@ -394,24 +224,15 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
                                : 0;
         int64_t pair_weight = 0;
         if (m < 0) {
-            // Boundary retirement: path to the nearest boundary qubit.
+            // Boundary retirement: the half-edge of the nearest
+            // boundary-adjacent check, then the walk back from it.
             pair_weight = boundary_dist[i];
-            if (fast) {
-                const int bc = oracle->boundary_check(events[i].check);
-                toggle(code_.boundary_data(detector_, bc)[0]);
-                oracle_walk(i, bc, events[i].round);
-            } else {
-                toggle(scratch.boundary_via[i]);
-                legacy_walk_back(i, scratch.boundary_node[i]);
-            }
+            const int bc = oracle.boundary_check(events[i].check);
+            toggle(code_.boundary_data(detector_, bc)[0]);
+            walk(i, bc);
         } else {
             pair_weight = defect_w[static_cast<size_t>(i) * ks + m];
-            if (fast) {
-                oracle_walk(i, events[m].check, events[m].round);
-            } else {
-                legacy_walk_back(
-                    i, node_id(events[m].check, events[m].round));
-            }
+            walk(i, events[m].check);
         }
         result.weight += pair_weight;
         if (matches != nullptr) {

@@ -10,44 +10,6 @@
 namespace btwc {
 
 /**
- * Fast-path knob of `MwpmDecoder` (on by default; the legacy
- * configuration is the exact reference the property tests pin the
- * fast path against, bit-for-bit).
- */
-struct FastPathConfig
-{
-    /**
-     * Answer defect-defect and defect-boundary spacetime distances
-     * from the per-code precomputed tables
-     * (`RotatedSurfaceCode::check_distances`) in O(1) closed form —
-     * space hops plus time separation — instead of running one
-     * Dijkstra per defect, and recover correction paths by walking the
-     * same geodesics the Dijkstra parent trees encode (identical
-     * tie-breaking, so corrections are bit-exact). Only applies under
-     * unit `space_weight`/`time_weight` (the default, and the exact
-     * setting for the paper's p_data == p_meas model); non-unit
-     * weights always take the Dijkstra fallback.
-     */
-    bool distance_oracle = true;
-
-    /** The default: oracle distances. */
-    static FastPathConfig fast() { return FastPathConfig(); }
-
-    /**
-     * The pre-oracle reference configuration: per-defect Dijkstra.
-     * Both configurations feed the same savings graph to the
-     * blossom matcher, so the property tests (tests/test_fastpath.cpp)
-     * pin them bit-exact against each other.
-     */
-    static FastPathConfig legacy()
-    {
-        FastPathConfig config;
-        config.distance_oracle = false;
-        return config;
-    }
-};
-
-/**
  * The pairing behind one MWPM decode, exposed for consumers that must
  * attribute the correction to individual matched pairs — the
  * sliding-window stream decoder (decoders/stream_window.hpp) commits
@@ -87,15 +49,18 @@ struct MwpmMatches
  * graph (the paper's off-chip "complex" decoder [19]).
  *
  * Nodes are (check, round) pairs; space edges are data qubits shared
- * by two same-type checks, time edges connect a check to itself in the
- * next round (measurement errors), and boundary half-edges let chains
- * terminate on the lattice boundary. All edges have unit weight, which
- * is exact for the paper's phenomenological model with equal data and
- * measurement error probabilities.
+ * by two same-type checks and weigh `space_weight`, time edges connect
+ * a check to itself in the next round (measurement errors) and weigh
+ * `time_weight`, and boundary half-edges (weight `space_weight`) let
+ * chains terminate on the lattice boundary. Unit weights are exact for
+ * the paper's phenomenological model with equal data and measurement
+ * error probabilities; log-likelihood weights cover asymmetric noise.
  *
- * Defect pairwise distances come from the precomputed distance oracle
- * (surface/distance.hpp) under the default unit weights, or from
- * per-defect Dijkstra otherwise (see `FastPathConfig`); the pairing is
+ * One weight per dimension keeps the graph a Cartesian product of the
+ * check graph and the round path, so every distance comes from the
+ * precomputed distance oracle (surface/distance.hpp) in O(1): a pair
+ * costs `space_weight * hops + time_weight * |dr|` and a boundary
+ * retirement `space_weight * (boundary_hops + 1)`. The pairing is
  * solved with the configured `Matcher` backend: the edge-list blossom
  * algorithm over the savings graph (one vertex per defect; each pair
  * i, j with w_ij < b_i + b_j gets an edge weighing the b_i + b_j - w_ij
@@ -103,14 +68,19 @@ struct MwpmMatches
  * matching pairs the matched defects and retires the rest, at minimum
  * total cost), or the brute-force subset DP of matching/exact.hpp,
  * which is exact by construction and backs the `ExactDecoder`
- * cross-validation tier.
+ * cross-validation tier. A correction toggles the qubits of the
+ * parent chain a Dijkstra from the source defect would record (the
+ * tight neighbor with the smallest (dist, node id)); its space steps
+ * do not depend on the weights, so one walk serves them all. Tests
+ * pin weight and correction bit-exact against that Dijkstra
+ * (tests/dijkstra_reference.hpp) for unit and non-unit weights.
  *
  * Hot-path contract: each decoder instance owns one persistent graph /
- * matcher scratch (grown once, reused by every `decode` and
- * `decode_batch` call), so steady-state decoding is allocation-free.
- * Instances are therefore not safe for concurrent `decode` calls from
- * multiple threads — the sharded Monte-Carlo engine gives every shard
- * its own decoder stack, which is the intended usage.
+ * matcher scratch (grown once, reused by every decode call), so
+ * steady-state decoding is allocation-free. Instances are therefore
+ * not safe for concurrent `decode` calls from multiple threads — the
+ * sharded Monte-Carlo engine gives every shard its own decoder stack,
+ * which is the intended usage.
  */
 class MwpmDecoder : public Decoder
 {
@@ -133,7 +103,6 @@ class MwpmDecoder : public Decoder
      * @param space_weight weight of space (data qubit) and boundary edges
      * @param time_weight  weight of time (measurement) edges
      * @param matcher      pairing engine (see Matcher)
-     * @param fast         fast-path knobs (see FastPathConfig)
      *
      * Unit weights are exact for the paper's p_data == p_meas model;
      * for asymmetric noise pass log-likelihood weights (see
@@ -141,8 +110,7 @@ class MwpmDecoder : public Decoder
      */
     MwpmDecoder(const RotatedSurfaceCode &code, CheckType detector,
                 int space_weight = 1, int time_weight = 1,
-                Matcher matcher = Matcher::Blossom,
-                FastPathConfig fast = FastPathConfig());
+                Matcher matcher = Matcher::Blossom);
 
     ~MwpmDecoder() override;
 
@@ -157,18 +125,6 @@ class MwpmDecoder : public Decoder
      */
     Result decode(const std::vector<DetectionEvent> &events,
                   int rounds) const override;
-
-    /**
-     * Batched decoding with shared graph scratch: the per-defect
-     * distance / parent arrays (the dominant per-call allocation) are
-     * set up once and reused across the whole batch, which is how the
-     * async off-chip service amortizes graph setup over the
-     * escalations it drains per cycle. Results are bit-identical to
-     * looping `decode`. `ExactDecoder` inherits the specialization.
-     */
-    std::vector<Result>
-    decode_batch(const std::vector<std::vector<DetectionEvent>> &batch,
-                 int rounds) const override;
 
     /**
      * As `decode`, but also report the solved pairing into `matches`
@@ -189,15 +145,12 @@ class MwpmDecoder : public Decoder
                        int rounds, Scratch &scratch,
                        MwpmMatches *matches = nullptr) const;
 
-    int node_id(int check, int round) const { return round * num_checks_ + check; }
-
     const RotatedSurfaceCode &code_;
     CheckType detector_;
     int num_checks_;
     int space_weight_;
     int time_weight_;
     Matcher matcher_;
-    FastPathConfig fast_;
     /**
      * Persistent per-instance working set (graph arrays + the pooled
      * blossom matcher); every decode entry point routes through it, so

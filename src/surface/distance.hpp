@@ -12,28 +12,30 @@ namespace btwc {
  * hop distances between same-type checks plus, per check, the hop
  * distance to (and identity of) its nearest boundary-adjacent check.
  *
- * This is the spacetime distance oracle behind `MwpmDecoder`'s fast
- * path. The decoding graph over `(check, round)` nodes is the
- * Cartesian product of this 2-D check graph (space edges, weight
- * `space_weight`) with a path graph over rounds (time edges, weight
- * `time_weight`), and every edge of one dimension carries one uniform
- * weight — so the spacetime distance decomposes in closed form:
+ * This is the spacetime distance oracle behind `MwpmDecoder`. The
+ * decoding graph over `(check, round)` nodes is the Cartesian product
+ * of this 2-D check graph (space edges, weight `space_weight`) with a
+ * path graph over rounds (time edges, weight `time_weight`), and every
+ * edge of one dimension carries one uniform weight — so the
+ * spacetime distance decomposes in closed form:
  *
  *     dist((c1, r1), (c2, r2)) =
  *         distance(c1, c2) * space_weight + |r1 - r2| * time_weight
  *
  * and the boundary distance from `(c, r)` is
  * `(boundary_hops(c) + 1) * space_weight` (time moves never help reach
- * a boundary). The per-defect Dijkstra this replaces costs
+ * a boundary). A per-defect Dijkstra would cost
  * O(rounds * num_checks * log) per defect; the oracle answers in O(1)
  * from a table built once per code (sparse-blossom-style precomputed
  * geometry, cf. Higgott et al., arXiv:2203.04948).
  *
  * Tie-breaking contract: `boundary_check(c)` is the boundary-adjacent
- * check with the smallest (hops, id) pair — exactly the first
- * boundary-adjacent node the legacy Dijkstra settles under unit
- * weights, which is what keeps the fast path's corrections bit-exact
- * with the Dijkstra fallback (see MwpmDecoder).
+ * check with the smallest (hops, id) pair — the first
+ * boundary-adjacent node a Dijkstra from `(c, r)` settles for any
+ * positive weights (time moves only add distance, and settle order is
+ * (dist, node id)). Together with `MwpmDecoder`'s (dist, id) parent
+ * walk this keeps its corrections bit-exact with the test-only
+ * Dijkstra reference (tests/dijkstra_reference.hpp).
  *
  * Tables are O(num_checks^2) `uint16_t`s (~190 KB at d = 21); they are
  * built lazily per check type via

@@ -131,11 +131,12 @@ savings_graph_cost(MaxWeightMatching &matcher,
  * Distinct detection events made of `pairs` boundary ties: each pair
  * (i, j) has spacetime distance w_ij == b_i + b_j, so pairing it and
  * retiring both ends cost the same (the pairs the decoder's savings
- * graph leaves out). Distances are the unit-weight oracle's.
+ * graph leaves out). Distances are the oracle's under space weight
+ * `sw` and time weight `tw` (unit by default).
  */
 inline std::vector<DetectionEvent>
 tie_heavy_events(const RotatedSurfaceCode &code, CheckType detector,
-                 int rounds, int pairs, Rng &rng)
+                 int rounds, int pairs, Rng &rng, int sw = 1, int tw = 1)
 {
     const CheckGraphDistances &oracle = code.check_distances(detector);
     const int checks = code.num_checks(detector);
@@ -151,13 +152,13 @@ tie_heavy_events(const RotatedSurfaceCode &code, CheckType detector,
         if (used[static_cast<size_t>(a.round) * checks + a.check]) {
             continue;
         }
-        const int b_a = oracle.boundary_hops(a.check) + 1;
+        const int b_a = sw * (oracle.boundary_hops(a.check) + 1);
         partners.clear();
         for (int t = 0; t < rounds; ++t) {
             for (int c = 0; c < checks; ++c) {
-                const int w = oracle.distance(a.check, c) +
-                              std::abs(a.round - t);
-                if (w == b_a + oracle.boundary_hops(c) + 1 &&
+                const int w = sw * oracle.distance(a.check, c) +
+                              tw * std::abs(a.round - t);
+                if (w == b_a + sw * (oracle.boundary_hops(c) + 1) &&
                     !used[static_cast<size_t>(t) * checks + c]) {
                     partners.push_back(DetectionEvent{c, t});
                 }

@@ -65,7 +65,8 @@ TEST(ScenarioSpec, ToStringRoundTripsEveryField)
         "kind=fabric,d=5,p=8e-3,policy=mwpm,latency=2,bandwidth=1,"
         "scheduler=deadline,links=2,placement=isolate,deadline=8,"
         "fleet=12,hot_fraction=0.25,hot_mult=3,cycles=4000",
-        "pipeline,shared,weighted",
+        "pipeline,shared",
+        "kind=memory,p_meas=0.02,weighted",
         "tiers=clique,exact",
         "tiers=uf:-1,mwpm",
     };
@@ -139,6 +140,13 @@ TEST(ScenarioSpec, RejectsMalformedSpecs)
         "scheduler=priority",
         "kind=stream,placement=isolate",
         "kind=memory,deadline=6",
+        // Weighted matching: memory only, and ln((1-p)/p) needs
+        // both probabilities strictly inside (0, 1).
+        "kind=lifetime,d=5,p=1e-3,weighted,cycles=100",
+        "pipeline,shared,weighted",
+        "kind=memory,p=8e-3,p_meas=0,weighted",
+        "kind=memory,p=0,weighted",
+        "kind=memory,p=8e-3,p_meas=1,weighted",
     };
     for (const std::string &text : bad) {
         SCOPED_TRACE(text);

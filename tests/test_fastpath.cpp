@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the decode hot path: the precomputed distance oracle
- * (surface/distance.hpp), the oracle-backed MWPM fast path — pinned
- * *bit-exact* against the legacy per-defect Dijkstra, and its
- * pruned-candidate-graph matching weight against a dense
- * complete-graph solve — the pooled blossom scratch
+ * (surface/distance.hpp), the oracle-backed MWPM decoder — pinned
+ * *bit-exact* against the per-defect Dijkstra reference
+ * (dijkstra_reference.hpp) for unit and non-unit weights, and its
+ * savings-graph matching weight against a dense complete-graph
+ * solve — the pooled blossom scratch
  * (`MaxWeightMatching::reset`), the persistent per-decoder scratch,
  * and the `LookupTableDecoder` (`lut`) tier.
  */
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -27,6 +29,7 @@
 #include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 #include "dense_blossom.hpp"
+#include "dijkstra_reference.hpp"
 #include "matching_test_util.hpp"
 
 namespace btwc {
@@ -118,7 +121,7 @@ TEST(CheckGraphDistances, CachedPerCodeAndType)
     EXPECT_NE(&a, &code.check_distances(CheckType::Z));
 }
 
-// ------------------------- fast path bit-exact against legacy Dijkstra
+// --------------------- oracle decoder bit-exact against Dijkstra
 
 /** Random spacetime detection events: noisy rounds + a perfect one. */
 std::vector<DetectionEvent>
@@ -150,23 +153,25 @@ sample_events(const RotatedSurfaceCode &code, CheckType detector,
 /**
  * Optimal matching weight of `events` on the complete doubled graph
  * (every defect pair, a zero-cost twin clique, no pruning), solved by
- * the dense reference blossom over the oracle's unit-weight distances.
+ * the dense reference blossom over the oracle's distances under space
+ * weight `sw` and time weight `tw`.
  */
 int64_t
 dense_oracle_weight(const RotatedSurfaceCode &code, CheckType detector,
-                    const std::vector<DetectionEvent> &events)
+                    const std::vector<DetectionEvent> &events, int sw = 1,
+                    int tw = 1)
 {
     const CheckGraphDistances &oracle = code.check_distances(detector);
     const size_t k = events.size();
     std::vector<std::vector<int64_t>> dist(k, std::vector<int64_t>(k, -1));
     std::vector<int64_t> boundary(k);
     for (size_t i = 0; i < k; ++i) {
-        boundary[i] = oracle.boundary_hops(events[i].check) + 1;
+        boundary[i] = sw * (oracle.boundary_hops(events[i].check) + 1);
         for (size_t j = 0; j < k; ++j) {
             if (j != i) {
                 dist[i][j] =
-                    oracle.distance(events[i].check, events[j].check) +
-                    std::abs(events[i].round - events[j].round);
+                    sw * oracle.distance(events[i].check, events[j].check) +
+                    tw * std::abs(events[i].round - events[j].round);
             }
         }
     }
@@ -175,23 +180,22 @@ dense_oracle_weight(const RotatedSurfaceCode &code, CheckType detector,
 
 /**
  * The load-bearing property: for every tested distance, rounds value,
- * detector type, and random syndrome, the decoder under `probe` must
- * produce the *bit-identical* correction and weight the legacy
- * configuration (per-defect Dijkstra) produces. With `dense_oracle`
- * the weight must also equal the dense complete-graph optimum.
+ * detector type, and random or tie-heavy syndrome, `MwpmDecoder` under
+ * weights (sw, tw) must produce the *bit-identical* correction and
+ * weight the per-defect Dijkstra reference produces. With
+ * `dense_oracle` the weight must also equal the dense complete-graph
+ * optimum.
  */
 void
-expect_bit_exact_with_legacy(const FastPathConfig &probe,
-                             MwpmDecoder::Matcher matcher, uint64_t salt,
-                             bool dense_oracle = false)
+expect_bit_exact_with_reference(MwpmDecoder::Matcher matcher, uint64_t salt,
+                                bool dense_oracle = false, int sw = 1,
+                                int tw = 1)
 {
     for (const int d : {3, 5, 7, 9}) {
         const RotatedSurfaceCode code(d);
         for (const CheckType det : {CheckType::X, CheckType::Z}) {
             for (const int rounds : {1, 3, d + 1}) {
-                const MwpmDecoder fast(code, det, 1, 1, matcher, probe);
-                const MwpmDecoder legacy(code, det, 1, 1, matcher,
-                                         FastPathConfig::legacy());
+                const MwpmDecoder decoder(code, det, sw, tw, matcher);
                 Rng rng(salt + 1000 * static_cast<uint64_t>(d) +
                         10 * static_cast<uint64_t>(det) +
                         static_cast<uint64_t>(rounds));
@@ -202,20 +206,24 @@ expect_bit_exact_with_legacy(const FastPathConfig &probe,
                     const std::vector<DetectionEvent> events =
                         iter < 60 ? sample_events(code, det, rounds, p, rng)
                                   : tie_heavy_events(code, det, rounds,
-                                                     1 + iter % 6, rng);
-                    const auto a = fast.decode(events, rounds);
-                    const auto b = legacy.decode(events, rounds);
+                                                     1 + iter % 6, rng, sw,
+                                                     tw);
+                    const auto a = decoder.decode(events, rounds);
+                    const auto b = dijkstra_reference_decode(
+                        code, det, sw, tw, matcher, events, rounds);
                     ASSERT_EQ(a.weight, b.weight)
-                        << "d=" << d << " rounds=" << rounds
-                        << " iter=" << iter << " k=" << events.size();
+                        << "d=" << d << " rounds=" << rounds << " sw=" << sw
+                        << " tw=" << tw << " iter=" << iter
+                        << " k=" << events.size();
                     ASSERT_EQ(a.correction, b.correction)
-                        << "d=" << d << " rounds=" << rounds
-                        << " iter=" << iter << " k=" << events.size();
+                        << "d=" << d << " rounds=" << rounds << " sw=" << sw
+                        << " tw=" << tw << " iter=" << iter
+                        << " k=" << events.size();
                     ASSERT_EQ(a.defects, b.defects);
                     ASSERT_EQ(a.resolved, b.resolved);
                     if (dense_oracle) {
-                        ASSERT_EQ(a.weight,
-                                  dense_oracle_weight(code, det, events))
+                        ASSERT_EQ(a.weight, dense_oracle_weight(
+                                                code, det, events, sw, tw))
                             << "d=" << d << " rounds=" << rounds
                             << " iter=" << iter << " k=" << events.size();
                     }
@@ -227,43 +235,36 @@ expect_bit_exact_with_legacy(const FastPathConfig &probe,
 
 TEST(MwpmFastPath, DefaultConfigBitExactWithLegacy)
 {
-    expect_bit_exact_with_legacy(FastPathConfig::fast(),
-                                 MwpmDecoder::Matcher::Blossom, 0);
+    // The default decoder (unit weights, blossom) against the Dijkstra
+    // decode it replaced, now the test-only reference.
+    expect_bit_exact_with_reference(MwpmDecoder::Matcher::Blossom, 0);
 }
 
 TEST(MwpmFastPath, OracleAloneBitExactWithLegacy)
 {
-    // Once the oracle-distance, complete-graph configuration; pruning
-    // is now unconditional, so this corpus pins the pruned graph's
-    // matching weight to the dense complete-graph optimum.
-    expect_bit_exact_with_legacy(FastPathConfig::fast(),
-                                 MwpmDecoder::Matcher::Blossom, 77,
-                                 true);
+    // Once the oracle-distance, complete-graph configuration; this
+    // corpus also pins the savings graph's matching weight to the dense
+    // complete-graph optimum.
+    expect_bit_exact_with_reference(MwpmDecoder::Matcher::Blossom, 77, true);
 }
 
 TEST(MwpmFastPath, KnnCappedBitExactOnModerateInstances)
 {
-    // Once the opt-in degree cap; the cap is gone, and this corpus
-    // pins the pruned graph's matching weight to the dense
+    // Once the opt-in degree cap; the cap is gone, and this second
+    // corpus pins the savings graph's matching weight to the dense
     // complete-graph optimum.
-    expect_bit_exact_with_legacy(FastPathConfig::fast(),
-                                 MwpmDecoder::Matcher::Blossom, 154,
-                                 true);
+    expect_bit_exact_with_reference(MwpmDecoder::Matcher::Blossom, 154, true);
 }
 
 TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
 {
-    // Large windows (~200 defects): domination pruning removes only
-    // edges provably in no optimal matching, so the oracle and
-    // Dijkstra paths stay bit-exact on the pruned graph and its
-    // matching weight equals the dense complete-graph optimum.
+    // Large windows (~200 defects): the oracle decoder stays bit-exact
+    // with the Dijkstra reference and its matching weight equals the
+    // dense complete-graph optimum.
     const int d = 13;
     const RotatedSurfaceCode code(d);
     const int rounds = d + 1;
-    const MwpmDecoder fast(code, CheckType::Z);
-    const MwpmDecoder legacy(code, CheckType::Z, 1, 1,
-                             MwpmDecoder::Matcher::Blossom,
-                             FastPathConfig::legacy());
+    const MwpmDecoder decoder(code, CheckType::Z);
     Rng rng(99);
     int decoded = 0;
     for (int iter = 0; iter < 40 && decoded < 4; ++iter) {
@@ -273,8 +274,10 @@ TEST(MwpmFastPath, DefaultConfigBitExactAtHighDefectCounts)
             continue;  // only the expensive large windows matter here
         }
         ++decoded;
-        const auto a = fast.decode(events, rounds);
-        const auto b = legacy.decode(events, rounds);
+        const auto a = decoder.decode(events, rounds);
+        const auto b = dijkstra_reference_decode(
+            code, CheckType::Z, 1, 1, MwpmDecoder::Matcher::Blossom, events,
+            rounds);
         ASSERT_EQ(a.weight, b.weight)
             << "iter=" << iter << " k=" << events.size();
         ASSERT_EQ(a.correction, b.correction)
@@ -341,29 +344,30 @@ TEST(MwpmFastPath, StreamD21ShapedCorpusMatchesDenseOracle)
 
 TEST(MwpmFastPath, ExactDpBackendBitExactWithLegacy)
 {
-    expect_bit_exact_with_legacy(FastPathConfig::fast(),
-                                 MwpmDecoder::Matcher::ExactDp, 231);
+    // The subset-DP backend against the Dijkstra reference's own DP.
+    expect_bit_exact_with_reference(MwpmDecoder::Matcher::ExactDp, 231);
 }
 
-TEST(MwpmFastPath, NonUnitWeightsTakeTheDijkstraFallback)
+TEST(MwpmFastPath, WeightedBitExactWithDijkstraReference)
 {
-    // Weighted decoders must behave identically whether or not the
-    // fast path is requested (it only covers unit weights).
-    const RotatedSurfaceCode code(7);
-    const MwpmDecoder weighted_fast(code, CheckType::Z, 3, 2,
-                                    MwpmDecoder::Matcher::Blossom,
-                                    FastPathConfig::fast());
-    const MwpmDecoder weighted_legacy(code, CheckType::Z, 3, 2,
-                                      MwpmDecoder::Matcher::Blossom,
-                                      FastPathConfig::legacy());
-    Rng rng(99);
-    for (int iter = 0; iter < 40; ++iter) {
-        const std::vector<DetectionEvent> events =
-            sample_events(code, CheckType::Z, 4, 0.02, rng);
-        const auto a = weighted_fast.decode(events, 4);
-        const auto b = weighted_legacy.decode(events, 4);
-        ASSERT_EQ(a.weight, b.weight) << "iter=" << iter;
-        ASSERT_EQ(a.correction, b.correction) << "iter=" << iter;
+    // Non-unit weights take the same oracle path: distances scale by
+    // (sw, tw) and the walk toggles what Dijkstra's parent chain
+    // toggles, so both matchers stay bit-exact with the reference, and
+    // optimal against the dense solve, whichever dimension is heavier,
+    // at equal non-unit weights, and at the log-likelihood weights of
+    // asymmetric noise (482/412 are p = 8e-3 and 1.6e-2).
+    const std::pair<int, int> weights[] = {
+        {1, 1}, {2, 2}, {3, 2}, {2, 3}, {2, 1},
+        {1, 2}, {482, 412}, {412, 482}, {5, 3}, {1, 7}};
+    for (const auto &[sw, tw] : weights) {
+        for (const MwpmDecoder::Matcher matcher :
+             {MwpmDecoder::Matcher::Blossom, MwpmDecoder::Matcher::ExactDp}) {
+            // The subset DP is exact by construction; the dense solve
+            // pins the savings graph's optimum.
+            expect_bit_exact_with_reference(
+                matcher, 311 + static_cast<uint64_t>(sw * 7 + tw),
+                matcher == MwpmDecoder::Matcher::Blossom, sw, tw);
+        }
     }
 }
 
