@@ -50,6 +50,11 @@ if [[ "${1:-}" == "--asan" ]]; then
     # the full object graph, not just what the metrics read.
     ./build-asan/btwc_run quick --threads 1 --audit deep \
         --json build-asan/BENCH_asan.json > /dev/null
+    # quick rarely reaches the matcher; the stream decodes every window
+    # by MWPM, so the blossom's member lists, touched owners and due
+    # times run under the sanitizers with the per-step cross-check on.
+    ./build-asan/btwc_run stream-quick --threads 1 --audit deep \
+        --json build-asan/BENCH_asan_stream.json > /dev/null
     echo "ASan+UBSan OK"
     exit 0
 fi

@@ -617,6 +617,21 @@ validate_spec(const ScenarioSpec &spec, std::string *error)
             return false;
         }
     }
+    if (spec.kind != ScenarioKind::Memory) {
+        // Only the memory experiment reads a decoder arm, a trial cap
+        // and a failure target; elsewhere they would be ignored.
+        const ScenarioSpec defaults;
+        if (spec.arm != defaults.arm ||
+            spec.engine.trials != defaults.engine.trials ||
+            spec.engine.target_failures !=
+                defaults.engine.target_failures) {
+            set_error(error,
+                      "arm= / trials= / failures= are only valid in "
+                      "kind=memory scenarios (the memory experiment's "
+                      "decoder arm, trial cap and failure target)");
+            return false;
+        }
+    }
     if (spec.weighted_matching) {
         // Only the memory experiment decodes with log-likelihood
         // weights, and ln((1-p)/p) needs both probabilities in (0, 1).

@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 
 namespace btwc {
+
+namespace {
+
+/** Due key of an owner without a dual-step candidate. */
+constexpr int64_t kNoDue = std::numeric_limits<int64_t>::max();
+
+} // namespace
 
 MaxWeightMatching::MaxWeightMatching(int n)
 {
@@ -27,6 +35,7 @@ MaxWeightMatching::reset(int n)
     s_expansions_ = 0;
     stages_ = 0;
     augmentations_ = 0;
+    dual_steps_ = 0;
 }
 
 template <class F>
@@ -80,29 +89,37 @@ MaxWeightMatching::build_adjacency()
 }
 
 void
-MaxWeightMatching::assign_label(int w, int t, int p)
+MaxWeightMatching::assign_label(int w, int p)
 {
-    // Label the top-level blossom of w with t through endpoint p; a T
-    // label propagates an S label to the mate of the blossom's base.
-    // Both join the tree of the S-vertex at endpoint p (a root, p ==
-    // -1, starts its own tree).
-    const int root = p < 0 ? w : tree_root_[in_blossom_[endpoint_[p]]];
-    for (;;) {
+    // Label the top-level blossom of w T through endpoint p, which
+    // propagates an S label to the mate of the blossom's base. Both
+    // join the tree of the S-vertex at endpoint p.
+    const int root = tree_root_[in_blossom_[endpoint_[p]]];
+    std::vector<int> &members = tree_members_[root];
+    for (int t = 2;; t = 1) {
         const int b = in_blossom_[w];
         BTWC_DCHECK(label_[w] == 0 && label_[b] == 0);
         label_[w] = label_[b] = t;
         label_end_[w] = label_end_[b] = p;
         best_edge_[w] = best_edge_[b] = -1;
         tree_root_[b] = root;
+        if (b >= n_) {
+            touch(b);  // a vertex is touched as its own leaf
+        }
+        auto join = [this, &members, t](int v) {
+            members.push_back(v);
+            touch(v);
+            if (t == 1) {
+                queue_.push_back(v);
+            }
+        };
+        for_each_leaf(b, join);
         if (t == 1) {
-            auto push = [this](int v) { queue_.push_back(v); };
-            for_each_leaf(b, push);
             return;
         }
         const int mate_end = mate_[blossom_base_[b]];
         BTWC_DCHECK(mate_end >= 0);
         w = endpoint_[mate_end];
-        t = 1;
         p = mate_end ^ 1;
     }
 }
@@ -168,6 +185,7 @@ MaxWeightMatching::add_blossom(int base, int k)
     int bw = in_blossom_[w];
     const int b = unused_blossoms_.back();
     unused_blossoms_.pop_back();
+    blossom_lo_ = std::min(blossom_lo_, b);
     ++blossoms_formed_;
     blossom_base_[b] = base;
     blossom_parent_[b] = -1;
@@ -205,6 +223,7 @@ MaxWeightMatching::add_blossom(int base, int k)
             queue_.push_back(leaf);
         }
         in_blossom_[leaf] = b;
+        touch(leaf);
     };
     for_each_leaf(b, relabel);
 
@@ -230,6 +249,7 @@ MaxWeightMatching::add_blossom(int base, int k)
         }
         has_blossom_best_[child] = 0;
         best_edge_[child] = -1;
+        touch(child);
     }
     std::vector<int> &best = blossom_best_[b];
     best.clear();
@@ -239,12 +259,17 @@ MaxWeightMatching::add_blossom(int base, int k)
         }
     }
     has_blossom_best_[b] = 1;
-    best_edge_[b] = -1;
+    int best_k = -1;
+    int64_t best_slack = 0;
     for (const int e : best) {
-        if (best_edge_[b] == -1 || slack(e) < slack(best_edge_[b])) {
-            best_edge_[b] = e;
+        const int64_t es = slack(e);
+        if (best_k == -1 || es < best_slack) {
+            best_k = e;
+            best_slack = es;
         }
     }
+    best_edge_[b] = best_k;
+    touch(b);
 }
 
 void
@@ -257,12 +282,16 @@ MaxWeightMatching::expand_blossom(int b, bool dissolving)
     }
     for (const int s : blossom_childs_[b]) {
         blossom_parent_[s] = -1;
+        touch(s);
         if (s < n_) {
             in_blossom_[s] = s;
         } else if (dissolving && dual_[s] == 0) {
             expand_blossom(s, true);
         } else {
-            auto own = [this, s](int leaf) { in_blossom_[leaf] = s; };
+            auto own = [this, s](int leaf) {
+                in_blossom_[leaf] = s;
+                touch(leaf);
+            };
             for_each_leaf(s, own);
         }
     }
@@ -292,7 +321,7 @@ MaxWeightMatching::expand_blossom(int b, bool dissolving)
             label_[endpoint_[p ^ 1]] = 0;
             label_[endpoint_[endps[wrap(j - endptrick, len)] ^ endptrick ^
                              1]] = 0;
-            assign_label(endpoint_[p ^ 1], 2, p);
+            assign_label(endpoint_[p ^ 1], p);
             allow_edge_[endps[wrap(j - endptrick, len)] >> 1] = 1;
             j += jstep;
             p = endps[wrap(j - endptrick, len)] ^ endptrick;
@@ -319,7 +348,7 @@ MaxWeightMatching::expand_blossom(int b, bool dissolving)
                 BTWC_DCHECK(label_[v] == 2 && in_blossom_[v] == bv);
                 label_[v] = 0;
                 label_[endpoint_[mate_[blossom_base_[bv]]]] = 0;
-                assign_label(v, 2, label_end_[v]);
+                assign_label(v, label_end_[v]);
             }
             j += jstep;
         }
@@ -331,6 +360,7 @@ MaxWeightMatching::expand_blossom(int b, bool dissolving)
     blossom_best_[b].clear();
     has_blossom_best_[b] = 0;
     best_edge_[b] = -1;
+    touch(b);
     unused_blossoms_.push_back(b);
 }
 
@@ -422,6 +452,7 @@ MaxWeightMatching::unlabel(int b)
 {
     label_[b] = 0;
     best_edge_[b] = -1;
+    touch(b);
     if (b >= n_) {
         for (const int t : blossom_childs_[b]) {
             unlabel(t);
@@ -435,33 +466,50 @@ MaxWeightMatching::rebuild_best_edge(int b)
     // Least-slack edge from the leaves of b to another top-level
     // S-blossom, by a full scan. A blossom drops its best-edge list, so
     // a later merge rescans its leaves.
-    best_edge_[b] = -1;
     has_blossom_best_[b] = 0;
-    auto scan = [this, b](int leaf) {
+    int best_k = -1;
+    int64_t best_slack = 0;
+    auto scan = [this, b, &best_k, &best_slack](int leaf) {
         for (int i = adj_begin_[leaf]; i < adj_begin_[leaf + 1]; ++i) {
+            const int w = endpoint_[adj_[i]];
+            const int bw = in_blossom_[w];
+            if (bw == b || label_[bw] != 1) {
+                continue;
+            }
             const int k = adj_[i] >> 1;
-            const int bw = in_blossom_[endpoint_[adj_[i]]];
-            if (bw != b && label_[bw] == 1 &&
-                (best_edge_[b] == -1 || slack(k) < slack(best_edge_[b]))) {
-                best_edge_[b] = k;
+            const int64_t ks = dual_[leaf] + dual_[w] - 2 * weight_[k];
+            if (best_k == -1 || ks < best_slack) {
+                best_k = k;
+                best_slack = ks;
             }
         }
     };
     for_each_leaf(b, scan);
+    best_edge_[b] = best_k;
 }
 
 void
 MaxWeightMatching::dissolve_trees(int r1, int r2)
 {
     // An augmentation joined the trees rooted at r1 and r2. Their
-    // vertices become free; every other tree keeps growing.
+    // vertices become free; every other tree keeps growing. The member
+    // lists may name a vertex twice, or one that left for another tree
+    // or became free: keep the labelled members of the two trees once,
+    // in ascending order, since expansion order decides which blossom
+    // ids are reused.
     freed_.clear();
-    for (int v = 0; v < n_; ++v) {
-        const int b = in_blossom_[v];
-        if (label_[b] != 0 && (tree_root_[b] == r1 || tree_root_[b] == r2)) {
-            freed_.push_back(v);
+    for (const int r : {r1, r2}) {
+        for (const int v : tree_members_[r]) {
+            const int b = in_blossom_[v];
+            if (label_[b] != 0 &&
+                (tree_root_[b] == r1 || tree_root_[b] == r2)) {
+                freed_.push_back(v);
+            }
         }
+        tree_members_[r].clear();
     }
+    std::sort(freed_.begin(), freed_.end());
+    freed_.erase(std::unique(freed_.begin(), freed_.end()), freed_.end());
     for (const int v : freed_) {
         const int b = in_blossom_[v];
         if (label_[b] == 0) {
@@ -478,23 +526,40 @@ MaxWeightMatching::dissolve_trees(int r1, int r2)
         }
     }
     // Freed vertices re-test the tightness of their edges and find
-    // their least-slack edge to an S-vertex. Labels elsewhere were
-    // never derived from the dissolved trees, except the vertex labels
-    // inside T-blossoms reached from them (cleared here) and
-    // least-slack edges into them (re-derived before the next dual
-    // step, by valid_best_edge()).
+    // their least-slack edge to an S-vertex (rebuild_best_edge, in the
+    // same pass). Labels elsewhere were never derived from the
+    // dissolved trees, except the vertex labels inside T-blossoms
+    // reached from them (cleared here) and least-slack edges into
+    // them: their owners are touched, and the next dual step
+    // re-derives the edges that no longer lead to an S-blossom.
     for (const int v : freed_) {
+        int best_k = -1;
+        int64_t best_slack = 0;
         for (int i = adj_begin_[v]; i < adj_begin_[v + 1]; ++i) {
-            allow_edge_[adj_[i] >> 1] = 0;
+            const int k = adj_[i] >> 1;
+            allow_edge_[k] = 0;
+            const int w = endpoint_[adj_[i]];
+            const int bw = in_blossom_[w];
+            if (best_edge_[w] == k) {
+                touch(w);
+            }
+            if (best_edge_[bw] == k) {
+                touch(bw);
+            }
+            if (label_[bw] == 1) {
+                const int64_t ks = dual_[v] + dual_[w] - 2 * weight_[k];
+                if (best_k == -1 || ks < best_slack) {
+                    best_k = k;
+                    best_slack = ks;
+                }
+            } else if (label_[w] == 2 && label_[bw] == 2 &&
+                       label_[in_blossom_[endpoint_[label_end_[w]]]] != 1) {
+                label_[w] = 0;  // reached from a dissolved tree
+                rebuild_best_edge(w);
+                touch(w);
+            }
         }
-        rebuild_best_edge(v);
-    }
-    for (int v = 0; has_blossoms() && v < n_; ++v) {
-        if (label_[v] == 2 && label_[in_blossom_[v]] == 2 &&
-            label_[in_blossom_[endpoint_[label_end_[v]]]] != 1) {
-            label_[v] = 0;  // reached from a dissolved tree
-            rebuild_best_edge(v);
-        }
+        best_edge_[v] = best_k;
     }
     size_t kept = 0;
     for (const int v : queue_) {
@@ -520,14 +585,14 @@ MaxWeightMatching::scan_vertex(int v)
         }
         int64_t kslack = 0;
         if (!allow_edge_[k]) {
-            kslack = slack(k);
+            kslack = dual_[v] + dual_[w] - 2 * weight_[k];
             if (kslack <= 0) {
                 allow_edge_[k] = 1;
             }
         }
         if (allow_edge_[k]) {
             if (label_[in_blossom_[w]] == 0) {
-                assign_label(w, 2, p ^ 1);  // grow
+                assign_label(w, p ^ 1);  // grow
             } else if (label_[in_blossom_[w]] == 1) {
                 const int base = scan_blossom(v, w);
                 if (base >= 0) {
@@ -549,32 +614,93 @@ MaxWeightMatching::scan_vertex(int v)
             const int b = in_blossom_[v];
             if (best_edge_[b] == -1 || kslack < slack(best_edge_[b])) {
                 best_edge_[b] = k;
+                touch(b);
             }
         } else if (label_[w] == 0) {
             if (best_edge_[w] == -1 || kslack < slack(best_edge_[w])) {
                 best_edge_[w] = k;
+                touch(w);
             }
         }
     }
 }
 
-int
-MaxWeightMatching::valid_best_edge(int b)
+bool
+MaxWeightMatching::holds_best_edge(int o) const
 {
-    // The least-slack edge of vertex-or-blossom b, re-derived when it
-    // no longer leads to another top-level S-blossom: its far end was
-    // in a dissolved tree.
-    const int k = best_edge_[b];
-    if (k != -1) {
-        const int u = endpoint_[2 * k];
-        const int bu = in_blossom_[u];
-        const int far =
-            u == b || bu == b ? in_blossom_[endpoint_[2 * k + 1]] : bu;
-        if (far == b || label_[far] != 1) {
-            rebuild_best_edge(b);
+    // A free or T vertex, a top-level S-vertex and a top-level
+    // S-blossom keep a least-slack edge; an S-blossom's leaves leave
+    // it to their blossom.
+    if (o < n_) {
+        return label_[in_blossom_[o]] != 1 || in_blossom_[o] == o;
+    }
+    return blossom_base_[o] >= 0 && blossom_parent_[o] == -1 &&
+           label_[o] == 1;
+}
+
+bool
+MaxWeightMatching::best_edge_stale(int o) const
+{
+    // The least-slack edge of owner o no longer leads to another
+    // top-level S-blossom: its far end was in a dissolved tree.
+    const int k = best_edge_[o];
+    if (k == -1) {
+        return false;
+    }
+    const int u = endpoint_[2 * k];
+    const int bu = in_blossom_[u];
+    const int far = u == o || bu == o ? in_blossom_[endpoint_[2 * k + 1]] : bu;
+    return far == o || label_[far] != 1;
+}
+
+void
+MaxWeightMatching::derive_owner(int o, int64_t *sign, int64_t *due) const
+{
+    // The dual-step candidate of owner o and the sign its dual moves
+    // by: the slack of a free owner's least-slack edge to an
+    // S-blossom (type 2), half that of an S owner's (type 3), the dual
+    // of a T-blossom (type 4), each as a due time D + bound.
+    *sign = 0;
+    *due = kNoDue;
+    if (o < n_) {
+        const int b = in_blossom_[o];
+        const int l = label_[b];
+        *sign = l == 1 ? -1 : (l == 2 ? 1 : 0);
+        const int k = best_edge_[o];
+        if (k == -1 || l == 2 || (l == 1 && b != o)) {
+            return;  // a T-vertex's edge matters after expansion
+        }
+        BTWC_DCHECK(l == 0 || slack(k) % 2 == 0);
+        *due = 2 * (delta_sum_ + (l == 0 ? slack(k) : slack(k) / 2));
+    } else if (blossom_base_[o] >= 0 && blossom_parent_[o] == -1) {
+        if (label_[o] == 1) {
+            *sign = 1;
+            const int k = best_edge_[o];
+            if (k != -1) {
+                *due = 2 * (delta_sum_ + slack(k) / 2);
+            }
+        } else if (label_[o] == 2) {
+            *sign = -1;
+            *due = 2 * (delta_sum_ + dual_[o]) + 1;
         }
     }
-    return best_edge_[b];
+}
+
+void
+MaxWeightMatching::settle_owners()
+{
+    // Re-derive every touched owner: a least-slack edge that no longer
+    // leads to an S-blossom is rebuilt first. No dual step has run
+    // since it went stale, so an edge that still leads to one is still
+    // least among its owner's.
+    for (const int o : touched_) {
+        touched_flag_[o] = 0;
+        if (holds_best_edge(o) && best_edge_stale(o)) {
+            rebuild_best_edge(o);
+        }
+        derive_owner(o, &sign_[o], &due_[o]);
+    }
+    touched_.clear();
 }
 
 void
@@ -587,8 +713,13 @@ MaxWeightMatching::run()
     // ends the solve.
     ++stages_;
     for (int v = 0; v < n_; ++v) {
-        assign_label(v, 1, -1);
+        label_[v] = 1;
+        tree_root_[v] = v;
+        tree_members_[v].assign(1, v);
+        touch(v);
+        queue_.push_back(v);
     }
+    const bool deep = audit_level() >= AuditLevel::Deep;
     for (;;) {
         while (!queue_.empty()) {
             const int v = queue_.back();
@@ -599,95 +730,170 @@ MaxWeightMatching::run()
 
         // No tight edge left to follow: pick the dual step, the least
         // of the smallest vertex dual (type 1, which wins ties and ends
-        // the solve with every exposed vertex at dual zero), the slack
-        // of an edge from a free vertex to an S-vertex (type 2), half
-        // the slack of an edge between S-blossoms (type 3) and the
-        // dual of a T-blossom (type 4). Least-slack edges that lead
-        // into a dissolved tree are re-derived first; no dual step has
-        // run since it dissolved, so an edge that still leads to an
-        // S-blossom is still least among its owner's.
-        const bool blossoms = has_blossoms();
-        const int64_t none = std::numeric_limits<int64_t>::max();
-        int64_t min_dual = none;
-        int64_t min_edge = none;
-        int64_t min_t_dual = none;
-        int delta_blossom = -1;
-        candidates_.clear();
-        auto offer = [&](int k, int64_t d) {
-            candidates_.push_back({d, k});
-            min_edge = std::min(min_edge, d);
-        };
+        // the solve with every exposed vertex at dual zero) and the
+        // owners' candidates (edges win ties over T-blossoms, whose
+        // keys are odd).
+        settle_owners();
+        // Blossom ids are taken from the top down, so the ids below
+        // the lowest one taken hold no candidate and no dual.
+        const int lo = blossom_lo_;
+        const int end = 2 * n_;
+        int64_t min_due = kNoDue;
         for (int v = 0; v < n_; ++v) {
-            min_dual = std::min(min_dual, dual_[v]);
-            const int b = in_blossom_[v];
-            const int l = label_[b];
-            if (l == 1 && b != v) {
-                continue;  // its blossom holds the S-blossom's edge
-            }
-            const int k = valid_best_edge(v);
-            if (k == -1 || l == 2) {
-                continue;  // a T-vertex's edge matters after expansion
-            }
-            BTWC_DCHECK(l == 0 || slack(k) % 2 == 0);
-            offer(k, l == 0 ? slack(k) : slack(k) / 2);
+            min_due = std::min(min_due, due_[v]);
         }
-        for (int b = n_; blossoms && b < 2 * n_; ++b) {
-            if (blossom_base_[b] < 0 || blossom_parent_[b] != -1) {
-                continue;
-            }
-            if (label_[b] == 1 && valid_best_edge(b) != -1) {
-                offer(best_edge_[b], slack(best_edge_[b]) / 2);
-            } else if (label_[b] == 2 && dual_[b] < min_t_dual) {
-                min_t_dual = dual_[b];
-                delta_blossom = b;
-            }
+        for (int b = lo; b < end; ++b) {
+            min_due = std::min(min_due, due_[b]);
         }
-        // Ties go to type 1, then to edges, then to the lowest
-        // T-blossom.
-        const int64_t delta = std::min({min_dual, min_edge, min_t_dual});
-        if (min_t_dual >= std::min(min_dual, min_edge)) {
-            delta_blossom = -1;
+        if (deep) {
+            audit_owners();
+            audit_dual_step(min_due);
         }
+        ++dual_steps_;
+        const int64_t next = std::min(max_weight_, min_due / 2);
+        const int64_t delta = next - delta_sum_;
+        for (int v = 0; v < n_; ++v) {
+            dual_[v] += sign_[v] * delta;
+        }
+        for (int b = lo; b < end; ++b) {
+            dual_[b] += sign_[b] * delta;
+        }
+        delta_sum_ = next;
 
-        for (int v = 0; delta > 0 && v < n_; ++v) {
-            const int l = label_[in_blossom_[v]];
-            if (l == 1) {
-                dual_[v] -= delta;
-            } else if (l == 2) {
-                dual_[v] += delta;
-            }
-        }
-        for (int b = n_; blossoms && delta > 0 && b < 2 * n_; ++b) {
-            if (blossom_base_[b] >= 0 && blossom_parent_[b] == -1) {
-                if (label_[b] == 1) {
-                    dual_[b] += delta;
-                } else if (label_[b] == 2) {
-                    dual_[b] -= delta;
-                }
-            }
-        }
-
-        if (delta == min_dual) {
+        if (next == max_weight_) {
             return;  // type 1
         }
-        if (delta_blossom >= 0) {
-            expand_blossom(delta_blossom, false);  // type 4
+        if (min_due & 1) {
+            // Type 4: the lowest T-blossom whose dual reached zero.
+            const int b = static_cast<int>(
+                std::find(due_.begin() + lo, due_.begin() + end, min_due) -
+                due_.begin());
+            expand_blossom(b, false);
             continue;
         }
         // Follow every least-slack edge the step made tight, not just
         // one: with unit costs many tie. The queue is a stack, so
-        // pushing in reverse scans them in vertex order.
-        for (auto it = candidates_.rbegin(); it != candidates_.rend(); ++it) {
-            const int k = it->second;
-            if (it->first == delta) {
+        // pushing in reverse scans them in owner order.
+        auto follow = [this, min_due](int o) {
+            if (due_[o] == min_due) {
+                const int k = best_edge_[o];
                 allow_edge_[k] = 1;
                 const int i = endpoint_[2 * k];
                 queue_.push_back(label_[in_blossom_[i]] == 1
                                      ? i
                                      : endpoint_[2 * k + 1]);
             }
+        };
+        for (int b = end - 1; b >= lo; --b) {
+            follow(b);
+        }
+        for (int v = n_ - 1; v >= 0; --v) {
+            follow(v);
         }
     }
+}
+
+void
+MaxWeightMatching::audit_owners() const
+{
+    // Re-derive every owner by a full sweep: no least-slack edge an
+    // owner keeps may be stale once the owners are settled, and every
+    // due time and sign must match the maintained ones.
+    BTWC_CHECK_MSG(touched_.empty(), "matcher audit needs settled owners");
+    for (int o = 0; o < 2 * n_; o = o == n_ - 1 ? blossom_lo_ : o + 1) {
+        BTWC_CHECK_MSG(!holds_best_edge(o) || !best_edge_stale(o),
+                       "a least-slack edge into a dissolved tree was "
+                       "not re-derived");
+        int64_t sign = 0;
+        int64_t due = 0;
+        derive_owner(o, &sign, &due);
+        BTWC_CHECK_MSG(due == due_[o], "an owner's due time is out of date");
+        BTWC_CHECK_MSG(sign == sign_[o], "an owner's dual sign is out of date");
+    }
+}
+
+void
+MaxWeightMatching::audit_dual_step(int64_t min_due) const
+{
+    // The step the sweep over every vertex and blossom would take: the
+    // smallest vertex dual, every owner's bound from its slack or
+    // dual, ties to type 1, then to edges in owner order, then to the
+    // lowest T-blossom. The maintained due times must select the same
+    // delta, type and followed edges.
+    const int64_t none = std::numeric_limits<int64_t>::max();
+    int64_t min_dual = none;
+    int64_t min_edge = none;
+    int64_t min_t_dual = none;
+    int delta_blossom = -1;
+    bool exposed = false;
+    std::vector<std::pair<int64_t, int>> offers;
+    for (int v = 0; v < n_; ++v) {
+        min_dual = std::min(min_dual, dual_[v]);
+        exposed = exposed || mate_[v] < 0;
+        const int l = label_[in_blossom_[v]];
+        const int k = best_edge_[v];
+        if ((l == 1 && in_blossom_[v] != v) || k == -1 || l == 2) {
+            continue;
+        }
+        offers.push_back({l == 0 ? slack(k) : slack(k) / 2, k});
+    }
+    for (int b = n_; b < 2 * n_; ++b) {
+        if (blossom_base_[b] < 0 || blossom_parent_[b] != -1) {
+            continue;
+        }
+        if (label_[b] == 1 && best_edge_[b] != -1) {
+            offers.push_back({slack(best_edge_[b]) / 2, best_edge_[b]});
+        } else if (label_[b] == 2 && dual_[b] < min_t_dual) {
+            min_t_dual = dual_[b];
+            delta_blossom = b;
+        }
+    }
+    for (const auto &offer : offers) {
+        min_edge = std::min(min_edge, offer.first);
+    }
+    const int64_t delta = std::min({min_dual, min_edge, min_t_dual});
+    if (min_t_dual >= std::min(min_dual, min_edge)) {
+        delta_blossom = -1;
+    }
+
+    const int64_t next = std::min(max_weight_, min_due / 2);
+    const bool type1 = next == max_weight_;
+    BTWC_CHECK_MSG(type1 == (delta == min_dual),
+                   "the due times missed a type-1 dual step");
+    // With no exposed vertex left the smallest dual is no root's and
+    // the (label-free) step moves nothing.
+    BTWC_CHECK_MSG(!exposed || next - delta_sum_ == delta,
+                   "the due times select another dual step");
+    if (type1) {
+        return;
+    }
+    const bool t_step = (min_due & 1) != 0;
+    BTWC_CHECK_MSG(t_step == (delta_blossom >= 0),
+                   "the due times select another dual-step type");
+    if (t_step) {
+        BTWC_CHECK_MSG(due_[delta_blossom] == min_due &&
+                           std::find(due_.begin() + blossom_lo_,
+                                     due_.begin() + 2 * n_, min_due) ==
+                               due_.begin() + delta_blossom,
+                       "the due times expand another T-blossom");
+        return;
+    }
+    size_t i = 0;
+    for (int o = 0; o < 2 * n_; o = o == n_ - 1 ? blossom_lo_ : o + 1) {
+        if (due_[o] != min_due) {
+            continue;
+        }
+        while (i < offers.size() && offers[i].first != delta) {
+            ++i;
+        }
+        BTWC_CHECK_MSG(i < offers.size() && offers[i].second == best_edge_[o],
+                       "the due times follow other edges");
+        ++i;
+    }
+    while (i < offers.size() && offers[i].first != delta) {
+        ++i;
+    }
+    BTWC_CHECK_MSG(i == offers.size(), "the due times missed a tight edge");
 }
 
 const std::vector<int> &
@@ -712,9 +918,9 @@ MaxWeightMatching::solve()
         blossom_endps_.resize(n2);
         blossom_best_.resize(n2);
     }
-    int64_t max_weight = 0;
+    max_weight_ = 0;
     for (const int64_t w : weight_) {
-        max_weight = std::max(max_weight, w);
+        max_weight_ = std::max(max_weight_, w);
     }
     mate_.assign(n, -1);
     in_blossom_.resize(n);
@@ -728,12 +934,28 @@ MaxWeightMatching::solve()
     has_blossom_best_.assign(n2, 0);
     best_edge_to_.resize(n2);
     allow_edge_.assign(m, 0);
+    // Every vertex is touched when it roots its tree and every blossom
+    // id from blossom_lo_ up when it is taken, so due times and signs
+    // are settled before a dual step reads them.
+    due_.resize(n2);
+    sign_.resize(n2);
+    // A solve leaves no owner touched unless an audit threw mid-run.
+    for (const int o : touched_) {
+        touched_flag_[o] = 0;
+    }
+    touched_.clear();
+    touched_flag_.resize(n2);
+    delta_sum_ = 0;
+    blossom_lo_ = 2 * n_;
+    if (tree_members_.size() < n) {
+        tree_members_.resize(n);
+    }
     queue_.clear();
     unused_blossoms_.clear();
     for (int v = 0; v < n_; ++v) {
         in_blossom_[v] = v;
         blossom_base_[v] = v;
-        dual_[v] = max_weight;
+        dual_[v] = max_weight_;
     }
     for (int b = n_; b < 2 * n_; ++b) {
         blossom_base_[b] = -1;

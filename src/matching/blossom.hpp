@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace btwc {
@@ -27,12 +26,30 @@ namespace btwc {
  * while every other tree keeps its labels and least-slack edges. Every
  * exposed vertex therefore roots a live tree from the first dual step
  * to the last, so a solve runs one stage: the roots are labelled once,
- * and the solve ends when the smallest vertex dual reaches zero. There
- * are at most n/2 augmentations, and between two of them at most O(n)
- * dual steps of O(n) each, plus edge scans; the bound stays
- * O(n (n^2 + m)) with m the edge count, far below the O(n^3) a dense
- * solver pays regardless of m on the sparse savings graphs
- * `MwpmDecoder` builds.
+ * and the solve ends when the smallest vertex dual reaches zero.
+ *
+ * No dual step and no augmentation sweeps every vertex. Each tree
+ * root keeps a flat list of its members, so a dissolution visits only
+ * the two joined trees and their vertices' edges. Every vertex or
+ * top-level blossom that holds a dual-step candidate (an "owner") has
+ * a due time relative to D, the summed dual steps so far: D + slack
+ * for a free owner's least-slack edge to an S-blossom, D + slack / 2
+ * for an S owner's, D + dual for a T-blossom. Due times do not move
+ * when a dual step runs, so they are re-derived only for the owners
+ * whose labels or least-slack edges changed since the last step (a
+ * touched list, which also holds the owners whose edge ended in a
+ * dissolved tree). A dual step is then a branch-free minimum over the
+ * due times of the vertices and of the blossom ids in use, and the
+ * dual update a branch-free pass over their signs (-1 for an
+ * S-vertex, +1 for a T-vertex, and the reverse for top-level
+ * blossoms). The smallest vertex dual needs no array: the
+ * exposed roots hold it, at max_weight - D. The trajectory (tie
+ * selection included) is that of a full sweep, which
+ * AuditLevel::Deep re-derives and checks at every dual step. There
+ * are at most n/2 augmentations and O(n) dual steps between two of
+ * them; the bound stays O(n (n^2 + m)) with m the edge count, far
+ * below the O(n^3) a dense solver pays regardless of m on the sparse
+ * savings graphs `MwpmDecoder` builds.
  *
  * Data layout: edges are kept in insertion order; `solve()` builds a
  * CSR adjacency (each vertex lists its edges in insertion order, which
@@ -108,10 +125,6 @@ class MaxWeightMatching
         return dual_[endpoint_[2 * k]] + dual_[endpoint_[2 * k + 1]] -
                2 * weight_[k];
     }
-    bool has_blossoms() const
-    {
-        return unused_blossoms_.size() < static_cast<size_t>(n_);
-    }
     /** Index into a blossom's cyclic child list; j in (-len, len). */
     static size_t wrap(int j, size_t len)
     {
@@ -121,7 +134,7 @@ class MaxWeightMatching
     template <class F> void for_each_leaf(int b, F &f) const;
     int first_labeled_leaf(int b) const;
     void build_adjacency();
-    void assign_label(int w, int t, int p);
+    void assign_label(int w, int p);
     int scan_blossom(int v, int w);
     void add_blossom(int base, int k);
     void consider_best_edge(int b, int k);
@@ -130,9 +143,22 @@ class MaxWeightMatching
     void augment_matching(int k);
     void unlabel(int b);
     void rebuild_best_edge(int b);
-    int valid_best_edge(int b);
     void dissolve_trees(int r1, int r2);
     void scan_vertex(int v);
+    /** Queue owner o for re-derivation at the next dual step. */
+    void touch(int o)
+    {
+        if (!touched_flag_[o]) {
+            touched_flag_[o] = 1;
+            touched_.push_back(o);
+        }
+    }
+    bool holds_best_edge(int o) const;
+    bool best_edge_stale(int o) const;
+    void derive_owner(int o, int64_t *sign, int64_t *due) const;
+    void settle_owners();
+    void audit_owners() const;
+    void audit_dual_step(int64_t min_due) const;
     void run();
 
     int n_ = 0;  ///< vertices of the current instance
@@ -165,8 +191,20 @@ class MaxWeightMatching
     std::vector<int> scan_path_;       ///< scan_blossom scratch
     std::vector<int> best_edge_to_;    ///< add_blossom scratch (2n)
     std::vector<int> freed_;           ///< dissolve_trees scratch
-    /// run() scratch: (dual step bound, least-slack edge)
-    std::vector<std::pair<int64_t, int>> candidates_;
+    /// Per tree root (n): the vertices that joined its tree. A vertex
+    /// that left stays listed; dissolve_trees filters by label.
+    std::vector<std::vector<int>> tree_members_;
+    // Per owner, a vertex or blossom (2n): the dual-step candidate as
+    // 2 * due time (+1 for a T-blossom, so edges win ties), or kNoDue,
+    // and the sign its dual moves by per unit of dual step. Set when
+    // the owner is settled; blossom ids below blossom_lo_ are unread.
+    std::vector<int64_t> due_;
+    std::vector<int64_t> sign_;
+    std::vector<uint8_t> touched_flag_;
+    std::vector<int> touched_;  ///< owners to re-derive (a set)
+    int64_t delta_sum_ = 0;     ///< D: the dual steps summed so far
+    int64_t max_weight_ = 0;    ///< type 1 is due at D == max_weight_
+    int blossom_lo_ = 0;        ///< lowest blossom id taken (2n: none)
     std::vector<int> mate_vertex_;     ///< solve() result (n)
     int64_t total_weight_ = 0;
     // Structure counters since reset(), read by the tests that force
@@ -177,6 +215,7 @@ class MaxWeightMatching
     int s_expansions_ = 0;     ///< zero-dual S-blossoms of dissolved trees
     int stages_ = 0;           ///< times every exposed vertex was rooted
     int augmentations_ = 0;
+    int dual_steps_ = 0;       ///< dual-step selections, the last included
 };
 
 /**

@@ -43,10 +43,9 @@ log_likelihood_weight(double p, double scale)
 struct MwpmDecoder::Scratch
 {
     std::vector<int64_t> boundary_dist;
-    std::vector<int64_t> defect_w;  ///< k x k pairwise distances, flat
     std::vector<int> mate_defect;
 
-    // Subset-DP bridge (row-matrix view over `defect_w`).
+    // Subset-DP bridge: k x k pairwise distances, one row per defect.
     std::vector<std::vector<int64_t>> dp_w;
 
     // Pooled pairing engine (MaxWeightMatching::reset).
@@ -109,23 +108,18 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
     const int64_t sw = space_weight_;
     const int64_t tw = time_weight_;
 
+    auto pair_dist = [&](int i, int j) {
+        return sw * oracle.distance(events[i].check, events[j].check) +
+               tw * std::abs(events[i].round - events[j].round);
+    };
     std::vector<int64_t> &boundary_dist = scratch.boundary_dist;
-    std::vector<int64_t> &defect_w = scratch.defect_w;
     boundary_dist.resize(ks);
-    defect_w.assign(ks * ks, -1);
     for (int i = 0; i < k; ++i) {
         if (audit) {
             BTWC_CHECK(events[i].round >= 0 && events[i].round < rounds);
             BTWC_CHECK(events[i].check >= 0 && events[i].check < num_checks_);
         }
         boundary_dist[i] = sw * (oracle.boundary_hops(events[i].check) + 1);
-        for (int j = 0; j < i; ++j) {
-            const int64_t w =
-                sw * oracle.distance(events[i].check, events[j].check) +
-                tw * std::abs(events[i].round - events[j].round);
-            defect_w[static_cast<size_t>(i) * ks + j] = w;
-            defect_w[static_cast<size_t>(j) * ks + i] = w;
-        }
     }
 
     // Solve the pairing: mate_defect[i] is another defect index, or -1
@@ -137,9 +131,12 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             dp_w.resize(ks);
         }
         for (int i = 0; i < k; ++i) {
-            dp_w[i].assign(defect_w.begin() + static_cast<size_t>(i) * ks,
-                           defect_w.begin() +
-                               static_cast<size_t>(i + 1) * ks);
+            dp_w[i].assign(ks, -1);
+            for (int j = 0; j < k; ++j) {
+                if (j != i) {
+                    dp_w[i][j] = pair_dist(i, j);
+                }
+            }
         }
         const int64_t total = exact_min_weight_with_boundary_mates(
             k, dp_w, boundary_dist, mate_defect);
@@ -158,10 +155,9 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
         MaxWeightMatching &solver = scratch.matcher;
         solver.reset(k);
         for (int i = 0; i < k; ++i) {
-            const int64_t *row = &defect_w[static_cast<size_t>(i) * ks];
             for (int j = i + 1; j < k; ++j) {
                 const int64_t saving =
-                    boundary_dist[i] + boundary_dist[j] - row[j];
+                    boundary_dist[i] + boundary_dist[j] - pair_dist(i, j);
                 if (saving > 0) {
                     solver.add_edge(i, j, saving);
                 }
@@ -231,7 +227,7 @@ MwpmDecoder::decode_impl(const std::vector<DetectionEvent> &events,
             toggle(code_.boundary_data(detector_, bc)[0]);
             walk(i, bc);
         } else {
-            pair_weight = defect_w[static_cast<size_t>(i) * ks + m];
+            pair_weight = pair_dist(i, m);
             walk(i, events[m].check);
         }
         result.weight += pair_weight;

@@ -5,8 +5,9 @@
  * Test helpers for the blossom matcher and the matching decoders: a
  * friend view of the matcher's internals, the offset reduction that
  * poses perfect-matching instances to the maximum-weight matcher, the
- * savings-graph reduction the MWPM decoder uses, and a generator of
- * detection events rich in boundary ties.
+ * savings-graph reduction the MWPM decoder uses, a phenomenological
+ * window sampler, and a generator of detection events rich in boundary
+ * ties.
  */
 
 #include <algorithm>
@@ -19,11 +20,12 @@
 #include "decoders/decoder.hpp"
 #include "matching/blossom.hpp"
 #include "surface/distance.hpp"
+#include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 
 namespace btwc {
 
-/** Test-only view of the matcher's duals, mates and counters. */
+/** Test-only view of the matcher's duals, mates, due times and counters. */
 struct MaxWeightMatchingTestPeer
 {
     static std::vector<int64_t> &dual(MaxWeightMatching &m)
@@ -31,6 +33,13 @@ struct MaxWeightMatchingTestPeer
         return m.dual_;
     }
     static std::vector<int> &mate(MaxWeightMatching &m) { return m.mate_; }
+    /** Per-owner due keys: 2 * due time (+1 for a T-blossom). */
+    static std::vector<int64_t> &due(MaxWeightMatching &m) { return m.due_; }
+    /** The deep audit's re-derivation of every owner's due key. */
+    static void audit_owners(const MaxWeightMatching &m)
+    {
+        m.audit_owners();
+    }
     static int nested_blossoms(const MaxWeightMatching &m)
     {
         return m.nested_blossoms_;
@@ -52,7 +61,38 @@ struct MaxWeightMatchingTestPeer
     {
         return m.augmentations_;
     }
+    static int dual_steps(const MaxWeightMatching &m)
+    {
+        return m.dual_steps_;
+    }
 };
+
+/** Random spacetime detection events: noisy rounds + a perfect one. */
+inline std::vector<DetectionEvent>
+sample_events(const RotatedSurfaceCode &code, CheckType detector,
+              int rounds, double p, Rng &rng)
+{
+    const CheckType error_type =
+        detector == CheckType::Z ? CheckType::X : CheckType::Z;
+    ErrorFrame frame(code, error_type);
+    std::vector<std::vector<uint8_t>> raw(rounds);
+    for (int t = 0; t < rounds - 1; ++t) {
+        frame.inject(p, rng);
+        frame.measure(p, rng, raw[t]);
+    }
+    frame.inject(p, rng);
+    frame.measure_perfect(raw[rounds - 1]);
+    std::vector<DetectionEvent> events;
+    for (int t = 0; t < rounds; ++t) {
+        for (int c = 0; c < code.num_checks(detector); ++c) {
+            const uint8_t prev = t == 0 ? 0 : raw[t - 1][c];
+            if ((raw[t][c] ^ prev) & 1) {
+                events.push_back(DetectionEvent{c, t});
+            }
+        }
+    }
+    return events;
+}
 
 /** One weighted edge of a test instance. */
 struct WeightedEdge

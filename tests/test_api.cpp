@@ -147,6 +147,11 @@ TEST(ScenarioSpec, RejectsMalformedSpecs)
         "kind=memory,p=8e-3,p_meas=0,weighted",
         "kind=memory,p=0,weighted",
         "kind=memory,p=8e-3,p_meas=1,weighted",
+        // The memory experiment's arm, trial cap and failure target
+        // are rejected off the memory kind.
+        "kind=lifetime,d=5,p=1e-3,arm=uf,cycles=100",
+        "kind=stream,d=5,p=1e-3,trials=5,cycles=100",
+        "kind=fabric,failures=10",
     };
     for (const std::string &text : bad) {
         SCOPED_TRACE(text);

@@ -5,9 +5,11 @@
  * random instances, including the boundary-twin construction used by
  * the MWPM decoder; sparse and infeasible graphs and larger instances
  * against the dense reference solver; hand-built instances that force
- * nested blossoms and their expansion; the optimality-certificate
- * audit; and maximum-weight semantics (exposed vertices, the decoder's
- * savings graph) against brute force.
+ * nested blossoms and their expansion; a pin on the exact trajectory
+ * (mates, dual steps, augmentations, blossoms) over a seeded corpus;
+ * the optimality-certificate and due-time audits; and maximum-weight
+ * semantics (exposed vertices, the decoder's savings graph) against
+ * brute force.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +17,16 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "matching/blossom.hpp"
 #include "matching/exact.hpp"
+#include "surface/distance.hpp"
+#include "surface/lattice.hpp"
 #include "dense_blossom.hpp"
 #include "matching_test_util.hpp"
 
@@ -433,6 +439,116 @@ TEST(BlossomNesting, RandomNestingCorpusMatchesDenseSolver)
     EXPECT_GT(s_expanded, 0);
 }
 
+/** FNV-1a over the eight bytes of each value mixed in. */
+struct Fnv1a
+{
+    uint64_t hash = 14695981039346656037ull;
+    void mix(int64_t value)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xff;
+            hash *= 1099511628211ull;
+        }
+    }
+};
+
+TEST(BlossomTrajectory, SeededCorpusIsPinned)
+{
+    // The matcher's exact trajectory on a fixed corpus: every solve's
+    // mates and total weight (hashed), and the summed dual steps,
+    // augmentations and blossoms formed. Tie selection decides which
+    // of several optimal matchings a window gets, so a change to the
+    // scan or update order shows here even when every weight stays
+    // optimal. The constants were taken from the sweep-based matcher;
+    // an event-driven one must follow the same steps.
+    Fnv1a fnv;
+    int64_t dual_steps = 0;
+    int64_t augmentations = 0;
+    int64_t blossoms = 0;
+    int nested = 0;
+    int t_expanded = 0;
+    int s_expanded = 0;
+    MaxWeightMatching matcher;
+    auto record = [&](const std::vector<int> &mate) {
+        for (const int m : mate) {
+            fnv.mix(m);
+        }
+        fnv.mix(matcher.total_weight());
+        dual_steps += Peer::dual_steps(matcher);
+        augmentations += Peer::augmentations(matcher);
+        blossoms += Peer::blossoms_formed(matcher);
+        nested += Peer::nested_blossoms(matcher);
+        t_expanded += Peer::t_expansions(matcher);
+        s_expanded += Peer::s_expansions(matcher);
+    };
+
+    // d = 21 phenomenological windows of 21 rounds at p = 1e-3, on the
+    // savings graph MwpmDecoder builds (unit weights, edges in
+    // ascending (i, j) order).
+    const RotatedSurfaceCode code(21);
+    const CheckGraphDistances &oracle = code.check_distances(CheckType::Z);
+    Rng rng(1717);
+    int windows = 0;
+    for (int iter = 0; iter < 400; ++iter) {
+        const std::vector<DetectionEvent> events =
+            sample_events(code, CheckType::Z, 21, 1e-3, rng);
+        const int k = static_cast<int>(events.size());
+        std::vector<int64_t> boundary(k);
+        for (int i = 0; i < k; ++i) {
+            boundary[i] = oracle.boundary_hops(events[i].check) + 1;
+        }
+        matcher.reset(k);
+        for (int i = 0; i < k; ++i) {
+            for (int j = i + 1; j < k; ++j) {
+                const int64_t saving =
+                    boundary[i] + boundary[j] -
+                    oracle.distance(events[i].check, events[j].check) -
+                    std::abs(events[i].round - events[j].round);
+                if (saving > 0) {
+                    matcher.add_edge(i, j, saving);
+                }
+            }
+        }
+        record(matcher.solve());
+        windows += k > 0 ? 1 : 0;
+    }
+    ASSERT_GT(windows, 350);
+
+    // Random graphs of up to 60 vertices with weights 1..6, dense
+    // enough to form, nest and expand blossoms; every other one posed
+    // as a perfect-matching instance through the uniform offset.
+    for (int iter = 0; iter < 2000; ++iter) {
+        const int n = 2 + static_cast<int>(rng.next_below(59));
+        const double keep = 0.05 + 0.05 * static_cast<double>(iter % 8);
+        std::vector<WeightedEdge> edges;
+        for (int u = 0; u < n; ++u) {
+            for (int v = u + 1; v < n; ++v) {
+                if (rng.bernoulli(keep)) {
+                    edges.push_back(
+                        {u, v, 1 + static_cast<int64_t>(rng.next_below(6))});
+                }
+            }
+        }
+        if (iter % 2 == 0) {
+            matcher.reset(n);
+            for (const WeightedEdge &e : edges) {
+                matcher.add_edge(e.u, e.v, e.w);
+            }
+            record(matcher.solve());
+        } else {
+            record(solve_with_offset(matcher, n, edges));
+        }
+    }
+    EXPECT_GT(nested, 0);
+    EXPECT_GT(t_expanded, 0);
+    EXPECT_GT(s_expanded, 0);
+
+    EXPECT_EQ(fnv.hash, 16270660283863364044ull);
+    EXPECT_EQ(dual_steps, 16048);
+    EXPECT_EQ(augmentations, 33900);
+    EXPECT_EQ(blossoms, 11248);
+}
+
 /** A solved instance with a blossom: the odd cycle 0-1-2 plus 2-3. */
 void
 solve_audit_fixture(MaxWeightMatching &matcher)
@@ -462,6 +578,33 @@ TEST(BlossomAudit, CorruptedDualIsDetected)
     // A negative blossom dual is never feasible.
     Peer::dual(matcher)[11] = -1;
     EXPECT_THROW(matcher.audit_optimum(), CheckFailure);
+}
+
+TEST(BlossomAudit, CorruptedDueTimeIsDetected)
+{
+    // A max-weight path 0-1-2-3 weighing 1, 5, 1 ends with the middle
+    // edge matched and live trees at 0 and 3, whose neighbours keep
+    // finite due times; a stale or missing due time must not pass.
+    MaxWeightMatching matcher(4);
+    matcher.add_edge(0, 1, 1);
+    matcher.add_edge(1, 2, 5);
+    matcher.add_edge(2, 3, 1);
+    ASSERT_EQ(matcher.solve(), (std::vector<int>{-1, 2, 1, -1}));
+    ASSERT_NO_THROW(Peer::audit_owners(matcher));
+    std::vector<int64_t> &due = Peer::due(matcher);
+    const auto vertices_end = due.begin() + 4;
+    const auto finite = std::find_if(due.begin(), vertices_end, [](int64_t d) {
+        return d != std::numeric_limits<int64_t>::max();
+    });
+    ASSERT_NE(finite, vertices_end);
+    *finite += 2;  // one unit of dual step late
+    EXPECT_THROW(Peer::audit_owners(matcher), CheckFailure);
+
+    // An owner with no candidate given one.
+    solve_audit_fixture(matcher);
+    ASSERT_NO_THROW(Peer::audit_owners(matcher));
+    Peer::due(matcher)[0] = 0;
+    EXPECT_THROW(Peer::audit_owners(matcher), CheckFailure);
 }
 
 TEST(BlossomAudit, CorruptedMateIsDetected)

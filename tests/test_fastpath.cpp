@@ -26,7 +26,6 @@
 #include "matching/blossom.hpp"
 #include "matching/mwpm.hpp"
 #include "surface/distance.hpp"
-#include "surface/frame.hpp"
 #include "surface/lattice.hpp"
 #include "dense_blossom.hpp"
 #include "dijkstra_reference.hpp"
@@ -122,33 +121,6 @@ TEST(CheckGraphDistances, CachedPerCodeAndType)
 }
 
 // --------------------- oracle decoder bit-exact against Dijkstra
-
-/** Random spacetime detection events: noisy rounds + a perfect one. */
-std::vector<DetectionEvent>
-sample_events(const RotatedSurfaceCode &code, CheckType detector,
-              int rounds, double p, Rng &rng)
-{
-    const CheckType error_type =
-        detector == CheckType::Z ? CheckType::X : CheckType::Z;
-    ErrorFrame frame(code, error_type);
-    std::vector<std::vector<uint8_t>> raw(rounds);
-    for (int t = 0; t < rounds - 1; ++t) {
-        frame.inject(p, rng);
-        frame.measure(p, rng, raw[t]);
-    }
-    frame.inject(p, rng);
-    frame.measure_perfect(raw[rounds - 1]);
-    std::vector<DetectionEvent> events;
-    for (int t = 0; t < rounds; ++t) {
-        for (int c = 0; c < code.num_checks(detector); ++c) {
-            const uint8_t prev = t == 0 ? 0 : raw[t - 1][c];
-            if ((raw[t][c] ^ prev) & 1) {
-                events.push_back(DetectionEvent{c, t});
-            }
-        }
-    }
-    return events;
-}
 
 /**
  * Optimal matching weight of `events` on the complete doubled graph
